@@ -9,7 +9,6 @@ exact rational.
 __version__ = "0.1.0"
 
 from .asymptotic import (
-    PowerBoundComparison,
     PowerBoundParams,
     bound_vs_pure,
     exact_lower_bound,
@@ -18,26 +17,20 @@ from .asymptotic import (
     leading_coefficient,
 )
 from .beh import (
-    BehReport,
-    ColumnCheck,
-    ScanReport,
-    ScanRow,
     beh_check,
     pure_beh_check,
     scan,
     shape_hypothesis,
 )
-from .decompose import BoundsReport, Decomposition, decompose, recompose, validate_bounds
+from .decompose import Decomposition, decompose, recompose, validate_bounds
 from .diagram import (
     BettiDiagram,
-    Rational,
     check_degree_sequence,
     format_rational,
     from_gaps,
     gaps,
     parse_rational,
     seq_leq,
-    truncate,
 )
 from .errors import (
     BettiError,
@@ -61,11 +54,6 @@ from .errors import (
 from .monomial import MonomialIdeal, corpus, minimalize, subset_numerator, taylor_betti
 from .poly import Poly
 from .pure import (
-    PureDiagram,
-    VerifyReport,
-    dist_from_above,
-    dist_from_below,
-    dist_to_base,
     herzog_kuhl,
     koszul,
     pure_shape_check,
@@ -79,12 +67,9 @@ from .pure import (
 
 __all__ = [
     "__version__",
-    "BehReport",
     "BettiDiagram",
     "BettiError",
     "BoundsError",
-    "BoundsReport",
-    "ColumnCheck",
     "ConstraintError",
     "Decomposition",
     "DomainError",
@@ -100,24 +85,15 @@ __all__ = [
     "ParamError",
     "PoleError",
     "Poly",
-    "PowerBoundComparison",
     "PowerBoundParams",
-    "PureDiagram",
-    "Rational",
-    "ScanReport",
-    "ScanRow",
     "TooManyGeneratorsError",
     "UnknownFamilyError",
-    "VerifyReport",
     "ZeroNumeratorError",
     "beh_check",
     "bound_vs_pure",
     "check_degree_sequence",
     "corpus",
     "decompose",
-    "dist_from_above",
-    "dist_from_below",
-    "dist_to_base",
     "exact_lower_bound",
     "exact_lower_bound_poly",
     "format_rational",
@@ -140,7 +116,6 @@ __all__ = [
     "shape_hypothesis",
     "subset_numerator",
     "taylor_betti",
-    "truncate",
     "validate_bounds",
     "verify_binomial_floor",
     "verify_first_gap_monotone",

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
 from .errors import BoundsError, EmptyDiagramError, NoFirstSyzygyError
-from .pure import herzog_kuhl, pure_shape_check
+from .pure import column_totals, herzog_kuhl, pure_shape_check
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
 
@@ -203,7 +203,7 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
         for upper in combinations(range(1, d_max + 1), s):
             degrees = (0,) + upper
             checked += 1
-            totals = herzog_kuhl(degrees).totals()
+            totals = column_totals(degrees)
             raw_violation = _first_violation(totals, s)
             if mode == "shape-verify":
                 if pure_shape_check(degrees) and raw_violation is not None:

@@ -134,6 +134,8 @@ def _cmd_asymptotic(args) -> int:
             tail = tuple(int(x) for x in args.e_tail.split(",")) if args.e_tail else ()
         except ValueError:
             raise FormatError(f"cannot parse gap tail {args.e_tail!r}") from None
+    # checks every parameter, t_max >= 1 included, before tabulating
+    PowerBoundParams(args.codim, args.delta, args.defect, args.j, args.t_max)
     rows = []
     for t in range(1, args.t_max + 1):
         params = PowerBoundParams(args.codim, args.delta, args.defect, args.j, t)
@@ -155,7 +157,7 @@ def _cmd_asymptotic(args) -> int:
                     "pure": format_rational(comparison.pure_value),
                 }
             )
-    if args.format == "json" or args.json:
+    if args.format == "json":
         print(json.dumps({"rows": rows}))
     else:
         columns = list(rows[0].keys())
@@ -246,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated integer gap tail; adds the pure-diagram column",
     )
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
     _add_format(p)
     p.set_defaults(func=_cmd_asymptotic)
 

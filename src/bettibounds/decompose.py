@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .diagram import (
-    BettiDiagram,
-    check_degree_sequence,
-    format_rational,
-    parse_rational,
-    seq_leq,
-    truncate,
-)
+from .diagram import BettiDiagram, check_degree_sequence, format_rational, parse_rational, seq_leq
 from .errors import EmptyDiagramError, FormatError, GapColumnError, InvalidSequenceError, NotInConeError
 from .pure import herzog_kuhl
 
@@ -163,7 +156,8 @@ def validate_bounds(decomposition: Decomposition, diagram: BettiDiagram) -> Boun
     """Check every term against the support bounds of the source diagram.
 
     A term of length s + 1 must satisfy codim <= s <= projective dimension and
-    lie termwise between the truncated minimal and maximal degree sequences.
+    lie termwise between the first s + 1 minimal and maximal degrees; the
+    maximal degrees need only increase weakly.
     """
     codim = diagram.codimension()
     pdim = diagram.projective_dimension()
@@ -174,8 +168,8 @@ def validate_bounds(decomposition: Decomposition, diagram: BettiDiagram) -> Boun
         s = len(degrees) - 1
         length_ok = codim <= s <= pdim
         if s <= pdim:
-            lower_ok = seq_leq(truncate(dmin, s), degrees)
-            upper_ok = seq_leq(degrees, truncate(dmax, s))
+            lower_ok = seq_leq(dmin[: s + 1], degrees)
+            upper_ok = seq_leq(degrees, dmax[: s + 1])
         else:
             lower_ok = upper_ok = False
         per_term.append(TermBounds(degrees, length_ok, lower_ok, upper_ok))

@@ -25,8 +25,6 @@ from .errors import (
 )
 from .poly import Poly
 
-Rational = Fraction
-
 DegreeSequence = Tuple[int, ...]
 GapVector = Tuple[Fraction, ...]
 
@@ -211,7 +209,7 @@ class BettiDiagram:
             if not isinstance(row, dict) or not {"i", "j", "value"} <= set(row):
                 raise FormatError(f"diagram entry must have i, j, value: {row!r}")
             i, j = row["i"], row["j"]
-            if not isinstance(i, int) or not isinstance(j, int):
+            if type(i) is not int or type(j) is not int:  # bool is an int subclass
                 raise FormatError(f"entry indices must be integers: {row!r}")
             if (i, j) in seen:
                 raise FormatError(f"duplicate entry at ({i}, {j})")
@@ -277,21 +275,13 @@ def check_degree_sequence(degrees: Sequence[int]) -> DegreeSequence:
             if d.denominator != 1:
                 raise InvalidSequenceError(f"degrees must be integers, got {d}")
             d = int(d)
-        if not isinstance(d, int):
+        if type(d) is not int:  # bool is an int subclass
             raise InvalidSequenceError(f"degrees must be integers, got {d!r}")
         out.append(d)
     for prev, nxt in zip(out, out[1:]):
         if nxt <= prev:
             raise InvalidSequenceError(f"not strictly increasing: {tuple(out)}")
     return tuple(out)
-
-
-def truncate(degrees: Sequence[int], s: int) -> DegreeSequence:
-    """First s + 1 degrees (d_0, ..., d_s)."""
-    degrees = check_degree_sequence(degrees)
-    if not 0 <= s <= len(degrees) - 1:
-        raise IndexError(f"truncation index {s} out of range for length {len(degrees)}")
-    return degrees[: s + 1]
 
 
 def seq_leq(lower: Sequence[int], upper: Sequence[int]) -> bool:

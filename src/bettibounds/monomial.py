@@ -42,7 +42,7 @@ class MonomialIdeal:
         if not isinstance(payload, dict) or not {"nvars", "generators"} <= set(payload):
             raise FormatError('ideal JSON must be an object with "nvars" and "generators"')
         nvars = payload["nvars"]
-        if not isinstance(nvars, int) or nvars < 1:
+        if type(nvars) is not int or nvars < 1:  # bool is an int subclass
             raise FormatError(f"nvars must be a positive integer, got {nvars!r}")
         gens = payload["generators"]
         if not isinstance(gens, list) or not gens:
@@ -52,7 +52,7 @@ class MonomialIdeal:
             if (
                 not isinstance(g, list)
                 or len(g) != nvars
-                or any(not isinstance(x, int) or x < 0 for x in g)
+                or any(type(x) is not int or x < 0 for x in g)
             ):
                 raise FormatError(f"generator must be a length-{nvars} list of ints >= 0: {g!r}")
             vectors.append(tuple(g))

@@ -4,13 +4,16 @@ A pure diagram has exactly one nonzero entry per column, at degrees given by a
 strictly increasing sequence (d_0, ..., d_s); normalizing the top entry to 1
 forces every other entry through the Herzog-Kuhl product
 
-    total_j = prod over i != j of |d_i - d_0| / |d_i - d_j|.
+    total_j = prod over i not in {0, j} of (d_i - d_0) / |d_i - d_j|.
 
-In gap coordinates e_i = d_i - d_{i-1} - 1 the column total becomes a rational
-function of e with no poles on the closed nonnegative orthant, which makes
-sign questions about its partial derivatives exact finite computations.  The
-verify_* functions sample seeded rational points and check those signs, plus
-the binomial floor total_j >= C(s, j) on the region where the first gap
+One integer kernel evaluates this product for pure diagrams, for column
+totals in gap coordinates e_i = d_i - d_{i-1} - 1 and for their logarithmic
+gradients: a rational gap vector is first cleared to integer positions, which
+leaves the totals unchanged.  In gap coordinates the column total is a
+rational function of e with no poles on the closed nonnegative orthant, which
+makes sign questions about its partial derivatives exact finite computations.
+The verify_* functions sample seeded rational points and check those signs,
+plus the binomial floor total_j >= C(s, j) on the region where the first gap
 dominates the rest.
 """
 
@@ -21,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, check_degree_sequence, format_rational
 from .errors import DomainError, PoleError
@@ -43,18 +46,33 @@ class PureDiagram:
         return tuple(self.total(j) for j in range(len(self.degrees)))
 
 
+def _hk_total(p: Sequence[int], j: int) -> Fraction:
+    """Herzog-Kuhl column-j total at integer positions p_0 < ... < p_s.
+
+    Differences are oriented (p_j - p_i below j, p_i - p_j above j), never
+    absolute, so off the orthant every factor keeps its sign; a vanishing
+    factor, possible only there, raises PoleError.
+    """
+    num = den = 1
+    pj = p[j]
+    for i in range(1, len(p)):
+        if i != j:
+            num *= p[i] - p[0]
+            den *= pj - p[i] if i < j else p[i] - pj
+    if not num or not den:
+        raise PoleError("a linear form vanishes at this point")
+    return Fraction(num, den)
+
+
+def column_totals(degrees: Sequence[int]) -> Tuple[Fraction, ...]:
+    """Column totals (1, total_1, ..., total_s) of a strictly increasing integer sequence."""
+    return tuple(_hk_total(degrees, j) for j in range(len(degrees)))
+
+
 def herzog_kuhl(degrees: Sequence[int]) -> PureDiagram:
     """Normalized pure diagram of a degree sequence via the Herzog-Kuhl product."""
     degrees = check_degree_sequence(degrees)
-    s = len(degrees) - 1
-    entries = {(0, degrees[0]): Fraction(1)}
-    for j in range(1, s + 1):
-        value = Fraction(1)
-        for i in range(1, s + 1):
-            if i != j:
-                value *= Fraction(abs(degrees[i] - degrees[0]), abs(degrees[i] - degrees[j]))
-        entries[j, degrees[j]] = value
-    return PureDiagram(degrees, BettiDiagram(entries))
+    return PureDiagram(degrees, BettiDiagram(zip(enumerate(degrees), column_totals(degrees))))
 
 
 def koszul(n: int) -> BettiDiagram:
@@ -79,60 +97,30 @@ def pure_shape_check(degrees: Sequence[int]) -> bool:
     return degrees[s] - s <= 2 * degrees[1] - 2
 
 
-# -- linear forms in gap coordinates ---------------------------------------------
+# -- gap coordinates -------------------------------------------------------------
 #
-# With d = (0, 1 + e_1, 2 + e_1 + e_2, ...) the three degree differences below
-# are exactly the factors of the Herzog-Kuhl product for column j.
+# A gap vector e stands for the degrees d = (0, 1 + e_1, 2 + e_1 + e_2, ...).
+# Scaling every degree by one factor leaves the column totals unchanged, so a
+# rational e is cleared to the integer positions P = D*d, with D the lcm of the
+# denominators of e, and evaluated by the same kernel as degree sequences.
 
 
 def _as_gap_vector(e: Sequence) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in e)
 
 
-def dist_to_base(i: int, e: Sequence) -> Fraction:
-    """d_i - d_0 = i + e_1 + ... + e_i, for 1 <= i <= s."""
-    e = _as_gap_vector(e)
-    if not 1 <= i <= len(e):
-        raise IndexError(f"index {i} outside 1..{len(e)}")
-    return i + sum(e[:i], Fraction(0))
-
-
-def dist_from_below(i: int, j: int, e: Sequence) -> Fraction:
-    """d_j - d_{i-1} = (j - i + 1) + e_i + ... + e_j, for 1 <= i <= j <= s."""
-    e = _as_gap_vector(e)
-    if not 1 <= i <= j <= len(e):
-        raise IndexError(f"need 1 <= i <= j <= {len(e)}, got i={i}, j={j}")
-    return (j - i + 1) + sum(e[i - 1 : j], Fraction(0))
-
-
-def dist_from_above(i: int, j: int, e: Sequence) -> Fraction:
-    """d_i - d_j = (i - j) + e_{j+1} + ... + e_i, for 1 <= j < i <= s."""
-    e = _as_gap_vector(e)
-    if not 1 <= j < i <= len(e):
-        raise IndexError(f"need 1 <= j < i <= {len(e)}, got i={i}, j={j}")
-    return (i - j) + sum(e[j:i], Fraction(0))
+def _positions(e: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer positions P_0 = 0, P_i = P_{i-1} + D*(1 + e_i), and the scale D."""
+    scale = math.lcm(*(x.denominator for x in e))
+    p = [0]
+    for x in e:
+        p.append(p[-1] + scale + x.numerator * (scale // x.denominator))
+    return p, scale
 
 
 def _check_column(j: int, s: int):
     if not 1 <= j <= s:
         raise IndexError(f"column {j} outside 1..{s}")
-
-
-def _factors(j: int, e: Tuple[Fraction, ...]):
-    """Numerator and denominator linear-form values of the column-j total.
-
-    Returns (numerator factors keyed by i, below factors keyed by i, above
-    factors keyed by i) where the denominator of the total is the product of
-    the below factors (i = 2..j) and above factors (i = j+1..s).
-    """
-    s = len(e)
-    prefix = [Fraction(0)] * (s + 1)
-    for i, x in enumerate(e, start=1):
-        prefix[i] = prefix[i - 1] + x
-    base = {i: i + prefix[i] for i in range(1, s + 1) if i != j}
-    below = {i: (j - i + 1) + prefix[j] - prefix[i - 1] for i in range(2, j + 1)}
-    above = {i: (i - j) + prefix[i] - prefix[j] for i in range(j + 1, s + 1)}
-    return base, below, above
 
 
 def pure_total(j: int, e: Sequence) -> Fraction:
@@ -141,48 +129,33 @@ def pure_total(j: int, e: Sequence) -> Fraction:
     _check_column(j, len(e))
     if any(x < 0 for x in e):
         raise DomainError(f"gap vector must be nonnegative, got {e}")
-    base, below, above = _factors(j, e)
-    value = Fraction(1)
-    for factor in base.values():
-        value *= factor
-    for factor in below.values():
-        value /= factor
-    for factor in above.values():
-        value /= factor
-    return value
+    return _hk_total(_positions(e)[0], j)
 
 
 def _log_gradient(j: int, e: Tuple[Fraction, ...]):
     """Value of the column total and all its logarithmic partials.
 
-    Each linear form L contributes (dL/de_k)/L with dL/de_k in {0, 1}, so the
-    k-th partial of log(total) is an explicit signed sum of reciprocals.
+    A factor P_b - P_a of the kernel product equals D*(b - a + e_{a+1} + ... + e_b),
+    so the k-th partial of log(total) is D times the sum of 1/(P_b - P_a) over
+    the factors with a < k <= b, counted + in the numerator and - in the
+    denominator.
     """
-    s = len(e)
-    base, below, above = _factors(j, e)
-    for group in (base, below, above):
-        for factor in group.values():
-            if factor == 0:
-                raise PoleError("a linear form vanishes at this point")
-    value = Fraction(1)
-    for factor in base.values():
-        value *= factor
-    for factor in below.values():
-        value /= factor
-    for factor in above.values():
-        value /= factor
-    inv_base = {i: 1 / f for i, f in base.items()}
-    inv_below = {i: 1 / f for i, f in below.items()}
-    inv_above = {i: 1 / f for i, f in above.items()}
-    grad = []
-    for k in range(1, s + 1):
-        total = sum((inv_base[i] for i in inv_base if i >= k), Fraction(0))
-        if k <= j:
-            total -= sum((inv_below[i] for i in inv_below if i <= k), Fraction(0))
-        else:
-            total -= sum((inv_above[i] for i in inv_above if i >= k), Fraction(0))
-        grad.append(total)
-    return value, tuple(grad)
+    p, scale = _positions(e)
+    value = _hk_total(p, j)
+    s = len(p) - 1
+    pj = p[j]
+    # plus[k]: numerator factors containing e_k, P_i - P_0 with k <= i, i != j
+    plus = [Fraction(0)] * (s + 2)
+    for i in range(s, 0, -1):
+        plus[i] = plus[i + 1] + (Fraction(1, p[i] - p[0]) if i != j else 0)
+    # minus[k]: denominator factors containing e_k, P_j - P_m with m < k <= j
+    # and P_i - P_j with j < k <= i
+    minus = [Fraction(0)] * (s + 2)
+    for m in range(1, j):
+        minus[m + 1] = minus[m] + Fraction(1, pj - p[m])
+    for i in range(s, j, -1):
+        minus[i] = minus[i + 1] + Fraction(1, p[i] - pj)
+    return value, tuple(scale * (plus[k] - minus[k]) for k in range(1, s + 1))
 
 
 def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
@@ -279,8 +252,16 @@ def _sample_gap_vector(rng: random.Random, s: int, max_value: int = 10):
     return tuple(_sample_coordinate(rng, max_value) for _ in range(s))
 
 
+def _check_sweep(s_max: int, samples: int):
+    if s_max < 1:
+        raise DomainError(f"s_max must be >= 1, got {s_max}")
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+
+
 def verify_first_gap_monotone(s_max: int, samples: int, seed: int) -> VerifyReport:
     """Check d(total_j)/de_1 >= 0 at seeded rational points of the orthant."""
+    _check_sweep(s_max, samples)
     rng = random.Random(seed)
     violations = []
     for _ in range(samples):
@@ -300,6 +281,7 @@ def verify_inward_shift_monotone(s_max: int, samples: int, seed: int) -> VerifyR
     Two sign conditions per column: (d/de_j - d/de_k) total_j <= 0 for k < j,
     and (d/de_{j+1} - d/de_k) total_j <= 0 for k > j + 1.
     """
+    _check_sweep(s_max, samples)
     rng = random.Random(seed)
     violations = []
     for _ in range(samples):
@@ -332,6 +314,7 @@ def verify_binomial_floor(s_max: int, samples: int, seed: int) -> VerifyReport:
 
     which is at least 1 whenever y <= x.
     """
+    _check_sweep(s_max, samples)
     rng = random.Random(seed)
     violations = []
     for _ in range(samples):

@@ -144,6 +144,22 @@ def test_verify_lemmas_json_schema(capsys):
     assert all(r["violations"] == [] and r["seed"] == 5 for r in reports)
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["verify-lemmas", "--samples", "10", "--seed", "1", "--s-max", "0"], "domain"),
+        (["verify-lemmas", "--samples", "-5", "--seed", "1"], "domain"),
+        (["asymptotic", "--codim", "2", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "0"], "param"),
+    ],
+    ids=["s-max-0", "negative-samples", "t-max-0"],
+)
+def test_out_of_range_parameters_exit_2(capsys, argv, kind):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {kind}: ")
+
+
 def test_monomial_betti_family_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "monomial-betti", "--family", "power-of-maximal(3,1)", "--format", "json")
     assert code == 0

@@ -7,11 +7,14 @@ from bettibounds import (
     BettiDiagram,
     Decomposition,
     EmptyDiagramError,
+    InvalidSequenceError,
     NotInConeError,
     decompose,
     herzog_kuhl,
     koszul,
+    minimalize,
     recompose,
+    taylor_betti,
     validate_bounds,
 )
 
@@ -110,8 +113,29 @@ def test_validate_bounds_report_content():
     assert payload["passed"] is True
 
 
+def test_validate_bounds_weakly_increasing_max_degrees():
+    ideal = minimalize(
+        8,
+        [
+            (0, 0, 2, 1, 0, 0, 0, 0),
+            (1, 2, 1, 0, 1, 0, 0, 0),
+            (0, 0, 2, 0, 1, 2, 0, 1),
+            (2, 1, 1, 2, 0, 1, 0, 0),
+            (1, 2, 0, 2, 1, 2, 0, 1),
+        ],
+    )
+    diagram = taylor_betti(ideal)
+    assert diagram.max_degrees() == (0, 9, 10, 10)
+    assert validate_bounds(decompose(diagram), diagram).passed
+
+
 def test_decomposition_json_round_trip():
     diagram = BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
     decomposition = decompose(diagram)
     text = decomposition.to_json()
     assert Decomposition.from_json(text) == decomposition
+
+
+def test_decomposition_json_rejects_boolean_degrees():
+    with pytest.raises(InvalidSequenceError):
+        Decomposition.from_json('{"terms": [{"coefficient": "1", "degrees": [false, true]}]}')

@@ -22,7 +22,6 @@ from bettibounds import (
     koszul,
     parse_rational,
     seq_leq,
-    truncate,
 )
 
 from helpers import dense_scan, random_sparse_diagram
@@ -148,14 +147,6 @@ def test_stats_match_dense_scan():
 # -- degree sequences and gaps --------------------------------------------------
 
 
-def test_truncate():
-    assert truncate((0, 1, 2, 4), 2) == (0, 1, 2)
-    assert truncate((0, 3, 5), 2) == (0, 3, 5)
-    assert truncate((0, 3, 5), 0) == (0,)
-    with pytest.raises(IndexError):
-        truncate((0, 1), 2)
-
-
 def test_seq_leq():
     assert seq_leq((0, 1, 2), (0, 2, 3))
     assert seq_leq((0, 1, 2), (0, 1, 2))
@@ -221,6 +212,11 @@ def test_json_rejects_duplicates_and_shape():
         BettiDiagram.from_json('{"rows": []}')
     with pytest.raises(FormatError):
         BettiDiagram.from_json("not json")
+
+
+def test_json_rejects_boolean_indices():
+    with pytest.raises(FormatError):
+        BettiDiagram.from_json('{"entries": [{"i": false, "j": true, "value": "1"}]}')
 
 
 def test_table_rendering():

@@ -134,6 +134,13 @@ def test_ideal_json_round_trip():
         MonomialIdeal.from_json('{"nvars": 2}')
 
 
+def test_ideal_json_rejects_booleans():
+    with pytest.raises(FormatError):
+        MonomialIdeal.from_json('{"nvars": true, "generators": [[1]]}')
+    with pytest.raises(FormatError):
+        MonomialIdeal.from_json('{"nvars": 1, "generators": [[true]]}')
+
+
 def test_taylor_betti_of_principal_ideal():
     # one generator: 0 -> S(-d) -> S -> S/(m) -> 0
     ideal = minimalize(3, [(1, 2, 0)])

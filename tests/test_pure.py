@@ -8,9 +8,6 @@ import pytest
 from bettibounds import (
     DomainError,
     PoleError,
-    dist_from_above,
-    dist_from_below,
-    dist_to_base,
     from_gaps,
     herzog_kuhl,
     koszul,
@@ -107,37 +104,6 @@ def test_translation_leaves_totals_and_shifts_entries():
         assert herzog_kuhl(shifted).diagram == herzog_kuhl(degrees).diagram.translate(shift)
 
 
-# -- linear forms -------------------------------------------------------------------
-
-
-def test_distance_forms():
-    assert dist_to_base(2, (1, 0, 0)) == 3
-    assert dist_from_below(2, 3, (1, 0, 1)) == 3
-    assert dist_from_above(3, 1, (1, 0, 0)) == 2
-    assert dist_from_below(3, 3, (1, 0, 1)) == 2  # extension to i = j: 1 + e_3
-    with pytest.raises(IndexError):
-        dist_to_base(4, (1, 0, 0))
-    with pytest.raises(IndexError):
-        dist_from_below(3, 2, (1, 0, 0))
-    with pytest.raises(IndexError):
-        dist_from_above(2, 2, (1, 0, 0))
-
-
-def test_distance_forms_are_degree_differences():
-    rng = random.Random(11)
-    for _ in range(30):
-        s = rng.randint(1, 6)
-        e = tuple(rng.randint(0, 4) for _ in range(s))
-        d = from_gaps(e, 0)
-        for i in range(1, s + 1):
-            assert dist_to_base(i, e) == d[i] - d[0]
-        for j in range(1, s + 1):
-            for i in range(1, j + 1):
-                assert dist_from_below(i, j, e) == d[j] - d[i - 1]
-            for i in range(j + 1, s + 1):
-                assert dist_from_above(i, j, e) == d[i] - d[j]
-
-
 # -- the column-total function -------------------------------------------------------
 
 
@@ -156,28 +122,36 @@ def test_pure_total_examples():
 
 
 def test_pure_total_matches_herzog_kuhl_on_integer_grid():
-    # the two code paths must agree exactly on every small integer gap vector
-    for s in range(1, 4):
-        for e in product(range(0, 5), repeat=s):
-            degrees = from_gaps(e, 0)
-            totals = herzog_kuhl(degrees).totals()
-            for j in range(1, s + 1):
-                assert pure_total(j, e) == totals[j]
+    # the equation solver shares no code with the kernel; the rational points
+    # with mixed denominators exercise the clearing to integer positions
+    rational_points = [
+        (Fraction(1, 3), Fraction(5, 64), 2),
+        (Fraction(7, 2), Fraction(2, 3), Fraction(1, 5), 0),
+        (0, Fraction(9, 8), Fraction(5, 6)),
+    ]
+    for e in [*(e for s in range(1, 4) for e in product(range(0, 5), repeat=s)), *rational_points]:
+        degrees = [Fraction(0)]
+        for x in e:
+            degrees.append(degrees[-1] + 1 + x)
+        totals = hk_equation_solve(degrees)
+        for j in range(1, len(e) + 1):
+            assert pure_total(j, e) == totals[j]
 
 
 def test_narrow_denominator_variant_fails_the_identity():
     # dropping the i = j factor from the first denominator product breaks the
     # match with the diagram construction at e = (1, 0, 1), j = 3
     def narrow_variant(j, e):
+        d = from_gaps(e, 0)
         s = len(e)
         value = Fraction(1)
         for i in range(1, s + 1):
             if i != j:
-                value *= dist_to_base(i, e)
+                value *= d[i] - d[0]
         for i in range(2, j):  # stops short of i = j
-            value /= dist_from_below(i, j, e)
+            value /= d[j] - d[i - 1]
         for i in range(j + 1, s + 1):
-            value /= dist_from_above(i, j, e)
+            value /= d[i] - d[j]
         return value
 
     e = (1, 0, 1)
