@@ -14,13 +14,11 @@ given power t and as a polynomial in t.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .diagram import format_rational
 from .errors import ConstraintError, ParamError
 from .poly import Poly
 from .pure import pure_total
@@ -102,23 +100,6 @@ class PowerBoundComparison:
     @property
     def passed(self) -> bool:
         return self.pure_value >= self.exact_bound >= self.leading_value
-
-    def to_json_dict(self) -> dict:
-        return {
-            "codim": self.params.codim,
-            "delta": self.params.delta,
-            "defect": self.params.defect,
-            "j": self.params.j,
-            "t": self.params.t,
-            "gap_vector": [format_rational(x) for x in self.gap_vector],
-            "pure_value": format_rational(self.pure_value),
-            "exact_bound": format_rational(self.exact_bound),
-            "leading_value": format_rational(self.leading_value),
-            "passed": self.passed,
-        }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def bound_vs_pure(params: PowerBoundParams, e_tail: Sequence[int]) -> PowerBoundComparison:

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
-from .errors import BoundsError, EmptyDiagramError, NoFirstSyzygyError
+from .errors import BoundsError, DomainError, EmptyDiagramError, NoFirstSyzygyError
 from .pure import column_totals, herzog_kuhl, pure_shape_check
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
@@ -78,8 +78,8 @@ class BehReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
 
 def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
@@ -93,7 +93,7 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
         raise EmptyDiagramError("empty diagram")
     c = diagram.codimension() if codim is None else codim
     if c < 0:
-        raise ValueError(f"codimension must be >= 0, got {c}")
+        raise DomainError(f"codimension must be >= 0, got {c}")
     beta0 = diagram.total(0)
     per_j = tuple(
         ColumnCheck(j, diagram.total(j), beta0 * math.comb(c, j)) for j in range(c + 1)
@@ -115,7 +115,7 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
 def pure_beh_check(degrees: Sequence[int]) -> BehReport:
     """BEH report for the normalized pure diagram of a degree sequence."""
     pure = herzog_kuhl(degrees)
-    return beh_check(pure.diagram, codim=len(pure.degrees) - 1)
+    return beh_check(pure, codim=pure.projective_dimension())
 
 
 # -- degree-sequence scanning -------------------------------------------------

@@ -16,7 +16,7 @@ from . import __version__
 from .asymptotic import PowerBoundParams, bound_vs_pure, exact_lower_bound, leading_bound
 from .beh import SCAN_MODES, beh_check, pure_beh_check, scan
 from .decompose import decompose, validate_bounds
-from .diagram import BettiDiagram, check_degree_sequence, format_rational
+from .diagram import BettiDiagram, check_degree_sequence, format_grid, format_rational
 from .errors import BettiError, FormatError, NotInConeError
 from .monomial import MonomialIdeal, corpus, taylor_betti
 from .pure import (
@@ -50,12 +50,15 @@ def _parse_degrees(text: str):
         raise FormatError(f"cannot parse degree sequence {text!r}") from None
 
 
-def _read_diagram(path: str) -> BettiDiagram:
+def _read_file(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return BettiDiagram.from_json(text)
+
+
+def _read_diagram(path: str) -> BettiDiagram:
+    return BettiDiagram.from_json(_read_file(path))
 
 
 def _print_diagram(diagram: BettiDiagram, fmt: str):
@@ -83,8 +86,7 @@ def _print_beh_report(report, fmt: str, heading=None):
 
 
 def _cmd_pure(args) -> int:
-    pure = herzog_kuhl(_parse_degrees(args.degrees))
-    _print_diagram(pure.diagram, args.format)
+    _print_diagram(herzog_kuhl(_parse_degrees(args.degrees)), args.format)
     return EXIT_OK
 
 
@@ -139,32 +141,18 @@ def _cmd_asymptotic(args) -> int:
     rows = []
     for t in range(1, args.t_max + 1):
         params = PowerBoundParams(args.codim, args.delta, args.defect, args.j, t)
-        if tail is None:
-            rows.append(
-                {
-                    "t": t,
-                    "leading": format_rational(leading_bound(params)),
-                    "exact": format_rational(exact_lower_bound(params)),
-                }
-            )
-        else:
-            comparison = bound_vs_pure(params, tail)
-            rows.append(
-                {
-                    "t": t,
-                    "leading": format_rational(comparison.leading_value),
-                    "exact": format_rational(comparison.exact_bound),
-                    "pure": format_rational(comparison.pure_value),
-                }
-            )
+        row = {
+            "t": t,
+            "leading": format_rational(leading_bound(params)),
+            "exact": format_rational(exact_lower_bound(params)),
+        }
+        if tail is not None:
+            row["pure"] = format_rational(bound_vs_pure(params, tail).pure_value)
+        rows.append(row)
     if args.format == "json":
         print(json.dumps({"rows": rows}))
     else:
-        columns = list(rows[0].keys())
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
-        print("  ".join(c.rjust(widths[c]) for c in columns))
-        for row in rows:
-            print("  ".join(str(row[c]).rjust(widths[c]) for c in columns))
+        print(format_grid([list(rows[0])] + [[str(v) for v in row.values()] for row in rows]))
     return EXIT_OK
 
 
@@ -186,11 +174,7 @@ def _cmd_monomial_betti(args) -> int:
     if args.family:
         ideal = corpus(args.family)
     else:
-        try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FormatError(f"cannot read {args.file}: {exc}") from exc
-        ideal = MonomialIdeal.from_json(text)
+        ideal = MonomialIdeal.from_json(_read_file(args.file))
     _print_diagram(taylor_betti(ideal), args.format)
     return EXIT_OK
 

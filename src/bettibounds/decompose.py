@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, format_rational, parse_rational, seq_leq
+from .diagram import BettiDiagram, check_degree_sequence, format_rational, load_json, parse_rational, seq_leq
 from .errors import EmptyDiagramError, FormatError, GapColumnError, InvalidSequenceError, NotInConeError
 from .pure import herzog_kuhl
 
@@ -39,11 +39,12 @@ class Decomposition:
             ]
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload) -> "Decomposition":
+    def from_json(cls, text: str) -> "Decomposition":
+        payload = load_json(text)
         if not isinstance(payload, dict) or "terms" not in payload:
             raise FormatError('decomposition JSON must be an object with a "terms" list')
         terms = []
@@ -56,14 +57,6 @@ class Decomposition:
             degrees = check_degree_sequence(row["degrees"])
             terms.append((coefficient, degrees))
         return cls(tuple(terms))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Decomposition":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(payload)
 
 
 def decompose(diagram: BettiDiagram) -> Decomposition:
@@ -87,12 +80,10 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
         except InvalidSequenceError as exc:
             raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}") from exc
         pure = herzog_kuhl(degrees)
-        coefficient = min(
-            work[(i, d)] / pure.total(i) for i, d in enumerate(degrees)
-        )
+        coefficient = min(work[(i, d)] / pure[(i, d)] for i, d in enumerate(degrees))
         if coefficient <= 0:
             raise NotInConeError(f"nonpositive coefficient {coefficient} at {degrees}")
-        work = work - coefficient * pure.diagram
+        work = work - coefficient * pure
         if any(value < 0 for _, value in work.items()):
             raise NotInConeError(f"negative entry after subtracting {degrees}")
         terms.append((coefficient, degrees))
@@ -103,7 +94,7 @@ def recompose(decomposition: Decomposition) -> BettiDiagram:
     """Exact sum of coefficient * pure diagram over all terms."""
     total = BettiDiagram()
     for coefficient, degrees in decomposition:
-        total = total + coefficient * herzog_kuhl(degrees).diagram
+        total = total + coefficient * herzog_kuhl(degrees)
     return total
 
 
@@ -131,25 +122,6 @@ class BoundsReport:
     @property
     def passed(self) -> bool:
         return self.recompose_matches and all(t.passed for t in self.per_term)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "codim": self.codim,
-            "projective_dimension": self.projective_dimension,
-            "min_degrees": list(self.min_degrees),
-            "max_degrees": list(self.max_degrees),
-            "recompose_matches": self.recompose_matches,
-            "passed": self.passed,
-            "per_term": [
-                {
-                    "degrees": list(t.degrees),
-                    "length_ok": t.length_ok,
-                    "lower_ok": t.lower_ok,
-                    "upper_ok": t.upper_ok,
-                }
-                for t in self.per_term
-            ],
-        }
 
 
 def validate_bounds(decomposition: Decomposition, diagram: BettiDiagram) -> BoundsReport:

@@ -49,6 +49,20 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
+def load_json(text: str):
+    """Decode JSON text, reporting malformed input as a FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+
+
+def format_grid(rows) -> str:
+    """Rows of strings as lines, every column right-justified to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
+
+
 class BettiDiagram:
     """Immutable sparse table (i, j) -> nonzero Fraction."""
 
@@ -60,7 +74,7 @@ class BettiDiagram:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for key, raw in items:
                 i, j = key
-                if not isinstance(i, int) or not isinstance(j, int):
+                if type(i) is not int or type(j) is not int:  # bool is an int subclass
                     raise FormatError(f"diagram key must be a pair of integers, got {key!r}")
                 if i < 0:
                     raise FormatError(f"homological index must be >= 0, got {i}")
@@ -193,11 +207,12 @@ class BettiDiagram:
             ]
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload) -> "BettiDiagram":
+    def from_json(cls, text: str) -> "BettiDiagram":
+        payload = load_json(text)
         if not isinstance(payload, dict) or "entries" not in payload:
             raise FormatError('diagram JSON must be an object with an "entries" list')
         entries = payload["entries"]
@@ -217,43 +232,18 @@ class BettiDiagram:
             pairs.append(((i, j), parse_rational(row["value"])))
         return cls(pairs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BettiDiagram":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(payload)
-
     def table(self) -> str:
         """Human-readable table: rows indexed by j - i, columns by i, "." for zero."""
         if not self._entries:
             return "(empty Betti diagram)"
-        pdim = self.projective_dimension()
-        rows = sorted({j - i for i, j in self._entries})
-        row_range = range(rows[0], rows[-1] + 1)
-        cells = {}
-        for r in row_range:
-            for i in range(pdim + 1):
-                value = self._entries.get((i, r + i))
-                cells[r, i] = format_rational(value) if value is not None else "."
-        totals = [format_rational(self.total(i)) for i in range(pdim + 1)]
-        widths = [
-            max(len(str(i)), len(totals[i]), *(len(cells[r, i]) for r in row_range))
-            for i in range(pdim + 1)
-        ]
-        label_width = max(len("total:"), *(len(f"{r}:") for r in row_range))
-        lines = []
-
-        def emit(label, values):
-            body = "  ".join(value.rjust(widths[i]) for i, value in enumerate(values))
-            lines.append(f"{label.rjust(label_width)}  {body}")
-
-        emit("", [str(i) for i in range(pdim + 1)])
-        emit("total:", totals)
-        for r in row_range:
-            emit(f"{r}:", [cells[r, i] for i in range(pdim + 1)])
-        return "\n".join(lines)
+        columns = range(self.projective_dimension() + 1)
+        offsets = [j - i for i, j in self._entries]
+        grid = [[""] + [str(i) for i in columns]]
+        grid.append(["total:"] + [format_rational(self.total(i)) for i in columns])
+        for r in range(min(offsets), max(offsets) + 1):
+            cells = (self._entries.get((i, r + i)) for i in columns)
+            grid.append([f"{r}:"] + ["." if v is None else format_rational(v) for v in cells])
+        return format_grid(grid)
 
     @staticmethod
     def _wrap(entries: dict) -> "BettiDiagram":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .diagram import BettiDiagram
+from .diagram import BettiDiagram, load_json
 from .errors import FormatError, TooManyGeneratorsError, UnknownFamilyError
 from .poly import Poly
 
@@ -34,11 +34,12 @@ class MonomialIdeal:
     def to_json_dict(self) -> dict:
         return {"nvars": self.nvars, "generators": [list(g) for g in self.generators]}
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload) -> "MonomialIdeal":
+    def from_json(cls, text: str) -> "MonomialIdeal":
+        payload = load_json(text)
         if not isinstance(payload, dict) or not {"nvars", "generators"} <= set(payload):
             raise FormatError('ideal JSON must be an object with "nvars" and "generators"')
         nvars = payload["nvars"]
@@ -57,14 +58,6 @@ class MonomialIdeal:
                 raise FormatError(f"generator must be a length-{nvars} list of ints >= 0: {g!r}")
             vectors.append(tuple(g))
         return minimalize(nvars, vectors)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MonomialIdeal":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(payload)
 
 
 def _divides(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -43,9 +43,6 @@ class Poly:
         """Terms as (exponent, coefficient) pairs, exponent-ascending."""
         return tuple(sorted(self._terms.items()))
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
-
     def degree(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")

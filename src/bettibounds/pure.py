@@ -19,7 +19,6 @@ dominates the rest.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -30,20 +29,6 @@ from .diagram import BettiDiagram, check_degree_sequence, format_rational
 from .errors import DomainError, PoleError
 
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
-
-
-@dataclass(frozen=True)
-class PureDiagram:
-    """Degree sequence plus its normalized one-entry-per-column diagram."""
-
-    degrees: Tuple[int, ...]
-    diagram: BettiDiagram
-
-    def total(self, j: int) -> Fraction:
-        return self.diagram[(j, self.degrees[j])] if 0 <= j < len(self.degrees) else Fraction(0)
-
-    def totals(self) -> Tuple[Fraction, ...]:
-        return tuple(self.total(j) for j in range(len(self.degrees)))
 
 
 def _hk_total(p: Sequence[int], j: int) -> Fraction:
@@ -69,10 +54,10 @@ def column_totals(degrees: Sequence[int]) -> Tuple[Fraction, ...]:
     return tuple(_hk_total(degrees, j) for j in range(len(degrees)))
 
 
-def herzog_kuhl(degrees: Sequence[int]) -> PureDiagram:
+def herzog_kuhl(degrees: Sequence[int]) -> BettiDiagram:
     """Normalized pure diagram of a degree sequence via the Herzog-Kuhl product."""
     degrees = check_degree_sequence(degrees)
-    return PureDiagram(degrees, BettiDiagram(zip(enumerate(degrees), column_totals(degrees))))
+    return BettiDiagram(zip(enumerate(degrees), column_totals(degrees)))
 
 
 def koszul(n: int) -> BettiDiagram:
@@ -231,9 +216,6 @@ class VerifyReport:
             "seed": self.seed,
             "violations": [v.to_json_dict() for v in self.violations],
         }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: pure
 diagrams are solved from their defining linear equations, diagram statistics
-are recomputed from dense tables, and derivatives are approximated by central
-differences in exact rational arithmetic.
+are recomputed from dense tables, monomial Betti numbers come from upper
+Koszul complexes instead of the Taylor complex, and derivatives are
+approximated by central differences in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from bettibounds import BettiDiagram, herzog_kuhl, koszul, minimalize, corpus, taylor_betti
 
@@ -102,9 +104,106 @@ def random_pure_combination(rng: random.Random, s_max=4, max_terms=3):
     chain = random_chain(rng, s, rng.randint(1, max_terms))
     total = BettiDiagram()
     for degrees in chain:
-        total = total + rng.randint(1, 5) * herzog_kuhl(degrees).diagram
+        total = total + rng.randint(1, 5) * herzog_kuhl(degrees)
     clear = math.lcm(*(value.denominator for _, value in total.items()))
     return clear * total
+
+
+def _rank(rows):
+    """Rank over Q: eliminate with the last row until no row is left."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((c for c, x in enumerate(pivot) if x), None)
+        if col is None:
+            continue
+        rank += 1
+        for n, row in enumerate(rows):
+            if row[col]:
+                factor = row[col] / pivot[col]
+                rows[n] = [a - factor * b for a, b in zip(row, pivot)]
+    return rank
+
+
+def upper_koszul_betti(ideal):
+    """Betti numbers {(i, degree): count} of S/I from upper Koszul complexes.
+
+    For a multidegree m, K^m = {F subset of supp m : x^(m - F) lies in I} and
+    beta_{i,m}(S/I) = dim reduced H_{i-2}(K^m) for i >= 1 (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, Thm 1.34).  Only lcms of generators
+    can carry Betti numbers, so m runs over the LCM lattice, built by closing
+    the generators under lcm; beta_{0,0} = 1 is added by hand.
+    """
+    gens = [tuple(g) for g in ideal.generators]
+    lattice = set(gens)
+    frontier = lattice
+    while frontier:
+        frontier = {tuple(map(max, m, g)) for m in frontier for g in gens} - lattice
+        lattice |= frontier
+    betti = {(0, 0): 1}
+    for m in lattice:
+        support = [k for k, x in enumerate(m) if x]
+
+        def in_ideal(face):
+            point = [x - (k in face) for k, x in enumerate(m)]
+            return any(all(a <= b for a, b in zip(g, point)) for g in gens)
+
+        # faces[k]: the k-dimensional faces, as sorted vertex tuples; k = -1 is the empty face
+        faces = {}
+        for size in range(len(support) + 1):
+            for face in combinations(support, size):
+                if in_ideal(face):
+                    faces.setdefault(size - 1, []).append(face)
+
+        def boundary_rank(k):
+            if k not in faces or k - 1 not in faces:
+                return 0
+            position = {face: n for n, face in enumerate(faces[k - 1])}
+            rows = []
+            for face in faces[k]:
+                row = [0] * len(position)
+                for v in range(len(face)):
+                    row[position[face[:v] + face[v + 1 :]]] = (-1) ** v
+                rows.append(row)
+            return _rank(rows)
+
+        for k, level in faces.items():
+            homology = len(level) - boundary_rank(k) - boundary_rank(k + 1)
+            if homology:
+                key = (k + 2, sum(m))
+                betti[key] = betti.get(key, 0) + homology
+    return betti
+
+
+def random_monomial_ideal(rng: random.Random, max_vars=4, max_gens=8, max_exponent=3):
+    """Up to max_gens random nonconstant monomials, none dividing another."""
+    nvars = rng.randint(1, max_vars)
+    count = rng.randint(1, max_gens)
+    gens = []
+    for _ in range(50 * count):
+        g = tuple(rng.randint(0, max_exponent) for _ in range(nvars))
+        comparable = any(
+            all(a <= b for a, b in zip(g, h)) or all(a >= b for a, b in zip(g, h)) for h in gens
+        )
+        if any(g) and not comparable:
+            gens.append(g)
+            if len(gens) == count:
+                break
+    return minimalize(nvars, gens)
+
+
+# an 8-variable ideal whose maximal degrees (0, 9, 10, 10) increase only weakly
+WEAK_MAX_DEGREE_IDEAL = (
+    8,
+    (
+        (0, 0, 2, 1, 0, 0, 0, 0),
+        (1, 2, 1, 0, 1, 0, 0, 0),
+        (0, 0, 2, 0, 1, 2, 0, 1),
+        (2, 1, 1, 2, 0, 1, 0, 0),
+        (1, 2, 0, 2, 1, 2, 0, 1),
+    ),
+)
 
 
 MONOMIAL_FAMILIES = (

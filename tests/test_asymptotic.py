@@ -108,7 +108,7 @@ def test_bound_vs_pure_constrained_tails():
                     for t in range(1, 21):
                         params = PowerBoundParams(codim, 2, defect, j, t)
                         comparison = bound_vs_pure(params, tuple(tail))
-                        assert comparison.passed, comparison.to_json_dict()
+                        assert comparison.passed, comparison
 
 
 def test_bound_vs_pure_equality_at_matching_length():

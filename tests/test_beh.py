@@ -38,7 +38,7 @@ def test_shape_hypothesis_errors():
 def test_shape_hypothesis_agrees_with_pure_shape_check():
     degrees_list = [(0, 1, 3), (0, 2, 3, 4), (0, 1, 2, 4), (-1, 1, 2), (0, 2, 4, 5, 6)]
     for degrees in degrees_list:
-        assert shape_hypothesis(herzog_kuhl(degrees).diagram) == pure_shape_check(degrees)
+        assert shape_hypothesis(herzog_kuhl(degrees)) == pure_shape_check(degrees)
 
 
 def test_beh_check_generic_2x3():

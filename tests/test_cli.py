@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bettibounds import BettiDiagram, Decomposition, MonomialIdeal, koszul
+from bettibounds import BettiDiagram, Decomposition, MonomialIdeal, herzog_kuhl, koszul
 from bettibounds.cli import main
 
 
@@ -20,7 +20,7 @@ def test_pure_json_round_trips(capsys):
     code, out, _ = run(capsys, "pure", "--degrees", "0,1,2,4", "--format", "json")
     assert code == 0
     diagram = BettiDiagram.from_json(out)
-    assert diagram == BettiDiagram.from_json_dict(json.loads(out))
+    assert diagram == herzog_kuhl((0, 1, 2, 4))
     assert out.strip() == diagram.to_json()
 
 
@@ -55,6 +55,15 @@ def test_check_beh_generic_2x3(tmp_path, capsys):
     code, out, _ = run(capsys, "check-beh", str(path), "--codim", "2")
     assert code == 1
     assert "j=1: 3 < 4" in out
+
+
+def test_check_beh_negative_codim_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "quotient.json"
+    path.write_text(QUOTIENT_X2_XY, encoding="utf-8")
+    code, out, err = run(capsys, "check-beh", str(path), "--codim", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: domain: codimension must be >= 0, got -1\n"
 
 
 def test_decompose_file(tmp_path, capsys):

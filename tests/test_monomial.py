@@ -21,7 +21,7 @@ from bettibounds import (
     validate_bounds,
 )
 
-from helpers import monomial_corpus
+from helpers import WEAK_MAX_DEGREE_IDEAL, monomial_corpus, random_monomial_ideal, upper_koszul_betti
 
 
 def test_minimalize_examples():
@@ -80,6 +80,16 @@ def test_euler_characteristic_cross_check():
     for name, ideal in monomial_corpus():
         diagram = taylor_betti(ideal)
         assert diagram.hilbert_numerator() == subset_numerator(ideal), name
+
+
+def test_taylor_betti_matches_upper_koszul_oracle():
+    # the Euler characteristic above cannot see a wrong rank; this oracle can
+    rng = random.Random(1234)
+    ideals = [ideal for _, ideal in monomial_corpus()]
+    ideals.append(minimalize(*WEAK_MAX_DEGREE_IDEAL))
+    ideals += [random_monomial_ideal(rng) for _ in range(40)]
+    for ideal in ideals:
+        assert dict(taylor_betti(ideal).items()) == upper_koszul_betti(ideal), ideal
 
 
 def test_column_zero_and_generator_count():
