@@ -1,12 +1,20 @@
-"""Exact Betti diagrams of monomial quotients via the Taylor complex.
+"""Exact Betti diagrams of monomial quotients, one multidegree strand at a time.
 
-Index the free module in homological degree i by the i-element subsets of the
-minimal generators, placed in the multidegree of their lcm.  Tensoring the
-(generally nonminimal) Taylor resolution with the residue field leaves only
-the +-1 incidences where dropping a generator preserves the lcm, and the
-Betti number at (i, multidegree m) is the homology rank of the m-strand at
-position i, computed by exact rational elimination.  Characteristic zero
-throughout.
+The lcm of every subset of the minimal generators is enumerated, and the
+subsets are grouped by it: the subsets with lcm m index the m-strand of the
+Taylor complex tensored with the field, whose homology at position i is the
+Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
+Each strand is taken on the smaller of two exact complexes:
+
+* a strand of one cell has no boundary and gives beta = 1 at its size;
+* when 2^|supp m| is below the strand's cell count, the upper Koszul complex
+  K^m = {F subset of supp m : x^(m - F) in I} is used instead, with
+  beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
+  Commutative Algebra, Thm 1.34);
+* otherwise the Taylor strand itself.
+
+Both complexes have bitmask cells and share one homology routine with exact
+rational elimination.  Characteristic zero throughout.
 """
 
 from __future__ import annotations
@@ -110,53 +118,91 @@ def _rational_rank(rows) -> int:
     return rank
 
 
+def _homology(cells) -> dict[int, int]:
+    """Homology dimensions {level: dim} of a chain complex on bitmask cells.
+
+    A cell's level is its popcount.  Its boundary drops one set bit at a time,
+    lowest first, with alternating sign, and keeps the result only if it is a
+    cell; each boundary map's rank comes from `_rational_rank`.
+    """
+    levels: dict[int, list[int]] = {}
+    for cell in sorted(cells):
+        levels.setdefault(bin(cell).count("1"), []).append(cell)
+    ranks: dict[int, int] = {}
+    for level, masks in levels.items():
+        below = {mask: pos for pos, mask in enumerate(levels.get(level - 1, ()))}
+        if not below:
+            continue
+        rows = []
+        for mask in masks:
+            row = [0] * len(below)
+            sign, rest = 1, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                pos = below.get(mask ^ low)
+                if pos is not None:
+                    row[pos] = sign
+                sign = -sign
+            rows.append(row)
+        # rank of the transpose equals the rank of the map
+        ranks[level] = _rational_rank(rows)
+    return {
+        level: len(masks) - ranks.get(level, 0) - ranks.get(level + 1, 0)
+        for level, masks in levels.items()
+    }
+
+
+def _upper_koszul_faces(multidegree: Sequence[int], dividing) -> set[int]:
+    """Faces of K^m = {F subset of supp m : x^(m - F) in I}, as variable bitmasks.
+
+    x^(m - F) is divisible by a generator g exactly when g divides m and
+    g_k < m_k for every k in F, so the facets are those coordinate sets.
+    """
+    faces = set()
+    for g in dividing:
+        facet = sum(1 << k for k, (a, b) in enumerate(zip(g, multidegree)) if a < b)
+        face = facet
+        while True:  # every submask of the facet, the empty face last
+            faces.add(face)
+            if not face:
+                break
+            face = (face - 1) & facet
+    return faces
+
+
 def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     """Betti diagram of the quotient by a monomial ideal (characteristic zero)."""
     gens = ideal.generators
     r = len(gens)
     if r > MAX_GENERATORS:
         raise TooManyGeneratorsError(f"{r} generators exceeds the guard of {MAX_GENERATORS}")
-    lcm_of = {0: (0,) * ideal.nvars}
+    lcm_of = [(0,) * ideal.nvars]
+    strands: dict[tuple, list[int]] = {lcm_of[0]: [0]}
     for mask in range(1, 1 << r):
         low = mask & -mask
-        lcm_of[mask] = _lcm(lcm_of[mask ^ low], gens[low.bit_length() - 1])
-
-    strands: dict[tuple, dict[int, list[int]]] = {}
-    for mask, multidegree in lcm_of.items():
-        strands.setdefault(multidegree, {}).setdefault(bin(mask).count("1"), []).append(mask)
+        multidegree = _lcm(lcm_of[mask ^ low], gens[low.bit_length() - 1])
+        lcm_of.append(multidegree)
+        strands.setdefault(multidegree, []).append(mask)
 
     betti: dict[tuple[int, int], int] = {}
-    for multidegree, levels in sorted(strands.items()):
-        for masks in levels.values():
-            masks.sort()
-        index_of = {
-            level: {mask: pos for pos, mask in enumerate(masks)}
-            for level, masks in levels.items()
-        }
-        # boundary[i] maps level i to level i - 1 within the strand
-        ranks: dict[int, int] = {}
-        for level, masks in levels.items():
-            below = index_of.get(level - 1)
-            if not below:
-                continue
-            rows = []
-            for mask in masks:
-                row = [0] * len(below)
-                sign = 1
-                for bit in range(r):
-                    if mask >> bit & 1:
-                        sub = mask ^ (1 << bit)
-                        if lcm_of[sub] == multidegree:
-                            row[below[sub]] = sign
-                        sign = -sign
-                rows.append(row)
-            # rank of the transpose equals the rank of the map
-            ranks[level] = _rational_rank(rows)
+    for multidegree, masks in strands.items():
         degree = sum(multidegree)
-        for level, masks in levels.items():
-            homology = len(masks) - ranks.get(level, 0) - ranks.get(level + 1, 0)
-            if homology:
-                betti[level, degree] = betti.get((level, degree), 0) + homology
+        if len(masks) == 1:
+            # a lone cell has no boundary
+            homology, shift = {bin(masks[0]).count("1"): 1}, 0
+        elif 1 << sum(1 for x in multidegree if x) < len(masks):
+            # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1;
+            # the masks are increasing, so the last is the union of the strand
+            top = masks[-1]
+            dividing = [g for b, g in enumerate(gens) if top >> b & 1]
+            homology, shift = _homology(_upper_koszul_faces(multidegree, dividing)), 1
+        else:
+            homology, shift = _homology(masks), 0
+        for level, count in homology.items():
+            if count:
+                key = (level + shift, degree)
+                betti[key] = betti.get(key, 0) + count
     return BettiDiagram(betti)
 
 

@@ -7,7 +7,9 @@ degrees) and for expanding product bounds in a formal variable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import count
 
 from .errors import ZeroNumeratorError
 
@@ -126,25 +128,22 @@ class Poly:
     def vanishing_order_at_one(self) -> int:
         """Largest c such that (1 - t)^c divides this polynomial.
 
-        Computed by repeated exact division: when p(1) = 0 the quotient by
-        (1 - t) has coefficients equal to the prefix sums of p's.
+        With p = t^a * q, the order is the least k with q^(k)(1) != 0, that is
+        with sum_e c_e * (e - a)_k != 0 for the falling factorial (x)_k.  It
+        is at most the number of terms minus one, so the work does not grow
+        with the degree spread.  Coefficients are scaled to integers first.
         """
         if not self._terms:
             raise ZeroNumeratorError("zero polynomial")
-        shift = min(self.min_exponent(), 0)
-        coeffs = [Fraction(0)] * (self.degree() - shift + 1)
-        for exp, coeff in self._terms.items():
-            coeffs[exp - shift] = coeff
-        order = 0
-        while sum(coeffs) == 0:
-            prefix: list[Fraction] = []
-            running = Fraction(0)
-            for c in coeffs[:-1]:
-                running += c
-                prefix.append(running)
-            coeffs = prefix
-            order += 1
-        return order
+        terms = self.items()
+        base = terms[0][0]
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        weights = [c.numerator * (scale // c.denominator) for _, c in terms]
+        gaps = [e - base for e, _ in terms]
+        for order in count():
+            if sum(weights):
+                return order
+            weights = [w * (g - order) for w, g in zip(weights, gaps)]
 
     def __str__(self):
         if not self._terms:

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: pure
 diagrams are solved from their defining linear equations, diagram statistics
 are recomputed from dense tables, monomial Betti numbers come from upper
-Koszul complexes instead of the Taylor complex, and derivatives are
-approximated by central differences in exact rational arithmetic.
+Koszul complexes and from a Taylor complex over generator subsets, both with
+this module's own rank, and derivatives are approximated by central
+differences in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from bettibounds import BettiDiagram, herzog_kuhl, koszul, minimalize, corpus, taylor_betti
 
@@ -75,6 +76,9 @@ def dense_scan(diagram):
 
 
 def random_sparse_diagram(rng: random.Random, max_i=4, max_j=8, entries=6):
+    cells = (max_i + 1) * (max_j + 3)
+    if entries > cells:
+        raise ValueError(f"{entries} entries do not fit in {cells} cells")
     table = {}
     while len(table) < entries:
         i = rng.randint(0, max_i)
@@ -176,6 +180,46 @@ def upper_koszul_betti(ideal):
     return betti
 
 
+def taylor_oracle_betti(ideal):
+    """Betti numbers {(i, degree): count} of S/I from the Taylor complex.
+
+    The i-subsets of generators sit in the multidegree of their lcm; tensored
+    with the field, the boundary keeps the face dropping the v-th generator
+    with sign (-1)^v when its lcm is the same.  Each multidegree's strand is
+    split off and its homology taken with this module's own rank.  Meant for
+    at most about 10 generators.
+    """
+    gens = [tuple(g) for g in ideal.generators]
+    strands = {}
+    for size in range(len(gens) + 1):
+        for subset in combinations(range(len(gens)), size):
+            m = tuple(max((gens[k][v] for k in subset), default=0) for v in range(ideal.nvars))
+            strands.setdefault(m, {}).setdefault(size, []).append(subset)
+    betti = {}
+    for m, levels in strands.items():
+
+        def boundary_rank(size):
+            if size not in levels or size - 1 not in levels:
+                return 0
+            position = {subset: n for n, subset in enumerate(levels[size - 1])}
+            rows = []
+            for subset in levels[size]:
+                row = [0] * len(position)
+                for v in range(size):
+                    face = subset[:v] + subset[v + 1 :]
+                    if face in position:
+                        row[position[face]] = (-1) ** v
+                rows.append(row)
+            return _rank(rows)
+
+        for size, level in levels.items():
+            homology = len(level) - boundary_rank(size) - boundary_rank(size + 1)
+            if homology:
+                key = (size, sum(m))
+                betti[key] = betti.get(key, 0) + homology
+    return betti
+
+
 def random_monomial_ideal(rng: random.Random, max_vars=4, max_gens=8, max_exponent=3):
     """Up to max_gens random nonconstant monomials, none dividing another."""
     nvars = rng.randint(1, max_vars)
@@ -191,6 +235,25 @@ def random_monomial_ideal(rng: random.Random, max_vars=4, max_gens=8, max_expone
             if len(gens) == count:
                 break
     return minimalize(nvars, gens)
+
+
+def random_equigenerated_ideal(rng: random.Random, max_gens=9):
+    """Between 3 and max_gens distinct monomials of one degree in 2 or 3 variables.
+
+    Many subsets of such generators share an lcm with a small support, which
+    is where a Betti engine can trade a Taylor strand for an upper Koszul
+    complex.
+    """
+    nvars = rng.randint(2, 3)
+    count = rng.randint(3, max_gens)
+    degree = rng.randint(2, 6)
+    while math.comb(degree + nvars - 1, nvars - 1) < count:
+        degree += 1
+    monomials = [
+        tuple(combo.count(v) for v in range(nvars))
+        for combo in combinations_with_replacement(range(nvars), degree)
+    ]
+    return minimalize(nvars, rng.sample(monomials, count))
 
 
 # an 8-variable ideal whose maximal degrees (0, 9, 10, 10) increase only weakly

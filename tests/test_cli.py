@@ -66,6 +66,19 @@ def test_check_beh_negative_codim_is_a_domain_error(tmp_path, capsys):
     assert err == "error: domain: codimension must be >= 0, got -1\n"
 
 
+def test_check_beh_with_a_vast_degree_spread_reports(tmp_path, capsys):
+    # the codimension comes from the Hilbert numerator 1 - t^(10^11), never expanded densely
+    path = tmp_path / "spread.json"
+    path.write_text(
+        '{"entries":[{"i":0,"j":0,"value":"1"},{"i":1,"j":100000000000,"value":"1"}]}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check-beh", str(path))
+    assert code in (0, 1)
+    assert "codim: 1" in out and "overall:" in out
+    assert "Traceback" not in out + err
+
+
 def test_decompose_file(tmp_path, capsys):
     path = tmp_path / "quotient.json"
     path.write_text(QUOTIENT_X2_XY, encoding="utf-8")

@@ -128,6 +128,13 @@ def test_codimension_zero_numerator():
         BettiDiagram({(0, 0): 1, (1, 0): 1}).codimension()
 
 
+def test_random_sparse_diagram_refuses_more_entries_than_cells():
+    # one row and one column leave 3 cells to draw keys from
+    with pytest.raises(ValueError):
+        random_sparse_diagram(random.Random(0), max_i=0, max_j=0, entries=5)
+    assert len(random_sparse_diagram(random.Random(0), max_i=0, max_j=0, entries=3)) == 3
+
+
 def test_stats_match_dense_scan():
     rng = random.Random(20240311)
     for _ in range(25):

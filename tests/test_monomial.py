@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +23,14 @@ from bettibounds import (
     validate_bounds,
 )
 
-from helpers import WEAK_MAX_DEGREE_IDEAL, monomial_corpus, random_monomial_ideal, upper_koszul_betti
+from helpers import (
+    WEAK_MAX_DEGREE_IDEAL,
+    monomial_corpus,
+    random_equigenerated_ideal,
+    random_monomial_ideal,
+    taylor_oracle_betti,
+    upper_koszul_betti,
+)
 
 
 def test_minimalize_examples():
@@ -82,14 +91,43 @@ def test_euler_characteristic_cross_check():
         assert diagram.hilbert_numerator() == subset_numerator(ideal), name
 
 
-def test_taylor_betti_matches_upper_koszul_oracle():
-    # the Euler characteristic above cannot see a wrong rank; this oracle can
-    rng = random.Random(1234)
+def equigenerated_ideals():
+    rng = random.Random(4321)
+    return [random_equigenerated_ideal(rng) for _ in range(30)]
+
+
+def oracle_ideals():
+    """The corpus, 40 seeded random ideals, and the seeded equigenerated ideals."""
     ideals = [ideal for _, ideal in monomial_corpus()]
     ideals.append(minimalize(*WEAK_MAX_DEGREE_IDEAL))
+    rng = random.Random(1234)
     ideals += [random_monomial_ideal(rng) for _ in range(40)]
-    for ideal in ideals:
+    return ideals + equigenerated_ideals()
+
+
+def test_equigenerated_ideals_have_strands_larger_than_their_koszul_cube():
+    # the engine trades a Taylor strand for K^m when 2^|supp m| < strand size;
+    # the oracle comparisons below cover that branch through these ideals (127 such strands)
+    switched = 0
+    for ideal in equigenerated_ideals():
+        sizes = Counter()
+        gens = ideal.generators
+        for size in range(len(gens) + 1):
+            for subset in combinations(gens, size):
+                sizes[tuple(max((g[v] for g in subset), default=0) for v in range(ideal.nvars))] += 1
+        switched += sum(1 for m, n in sizes.items() if 2 ** sum(1 for x in m if x) < n)
+    assert switched >= 100
+
+
+def test_taylor_betti_matches_upper_koszul_oracle():
+    # the Euler characteristic above cannot see a wrong rank; this oracle can
+    for ideal in oracle_ideals():
         assert dict(taylor_betti(ideal).items()) == upper_koszul_betti(ideal), ideal
+
+
+def test_taylor_betti_matches_taylor_oracle():
+    for ideal in oracle_ideals():
+        assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal), ideal
 
 
 def test_column_zero_and_generator_count():
@@ -176,3 +214,26 @@ def test_complete_graph_edge_ideals_linear_resolution():
         for k in range(1, n):
             expected[k, k + 1] = k * math.comb(n, k + 1)
         assert diagram == BettiDiagram(expected), n
+
+
+def test_power_of_maximal_3_4_matches_eagon_northcott():
+    # beta_i = C(n+d-1, d+i-1) * C(d+i-2, i-1) in degree d+i-1; 15 generators
+    n, d = 3, 4
+    expected = {(0, 0): 1}
+    for i in range(1, n + 1):
+        expected[i, d + i - 1] = math.comb(n + d - 1, d + i - 1) * math.comb(d + i - 2, i - 1)
+    assert taylor_betti(corpus(f"power-of-maximal({n},{d})")) == BettiDiagram(expected)
+
+
+def test_square_free_example_6_linear_resolution():
+    # beta_{i,i+1} = i * C(k, i+1); 15 generators
+    k = 6
+    expected = {(0, 0): 1}
+    for i in range(1, k):
+        expected[i, i + 1] = i * math.comb(k, i + 1)
+    assert taylor_betti(corpus(f"square-free-example({k})")) == BettiDiagram(expected)
+
+
+def test_power_of_maximal_linear_forms_is_koszul():
+    for n in range(1, 11):
+        assert taylor_betti(corpus(f"power-of-maximal({n},1)")) == koszul(n), n

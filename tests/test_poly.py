@@ -40,6 +40,19 @@ def test_vanishing_order():
         Poly().vanishing_order_at_one()
 
 
+def test_vanishing_order_is_sparse_in_the_degree_spread():
+    t = Poly.variable()
+    huge = 10**11
+    assert Poly({0: 1, huge: -1}).vanishing_order_at_one() == 1
+    assert (Poly({0: 1, huge: -1}) * (1 - t) * (1 - t)).vanishing_order_at_one() == 3
+    assert Poly({-huge: Fraction(1, 3), huge: Fraction(2, 7)}).vanishing_order_at_one() == 0
+    # the order never exceeds the number of terms minus one, and (1 - t)^k reaches it
+    p = Poly.constant(1)
+    for k in range(1, 9):
+        p = p * (1 - t)
+        assert p.vanishing_order_at_one() == k == len(p.items()) - 1
+
+
 def test_string_rendering():
     assert str(Poly({0: 2, 1: -3, 3: 1})) == "2 - 3*t + t^3"
     assert str(Poly()) == "0"
