@@ -33,7 +33,6 @@ from .diagram import (
     seq_leq,
 )
 from .errors import (
-    BettiError,
     BoundsError,
     ConstraintError,
     DomainError,
@@ -68,7 +67,6 @@ from .pure import (
 __all__ = [
     "__version__",
     "BettiDiagram",
-    "BettiError",
     "BoundsError",
     "ConstraintError",
     "Decomposition",

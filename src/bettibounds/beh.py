@@ -4,7 +4,10 @@ The conjectural floor for a codimension-c module is a column total of at
 least C(c, j) in every column j.  The sufficient condition checked here is a
 shape condition on the diagram: generators in degrees <= 0 and regularity at
 most 2*(minimal first-syzygy degree) - 2.  `scan` hunts through pure diagrams
-for sequences that satisfy, or provably violate, the bound.
+for sequences that satisfy, or provably violate, the bound, deciding each one
+in integer arithmetic.  Its shape-verify mode visits only the sequences that
+meet the shape condition, the only ones it could report; the "N sequences"
+of every scan summary is the size of the whole domain.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
 from .errors import BoundsError, DomainError, EmptyDiagramError, NoFirstSyzygyError
-from .pure import column_totals, herzog_kuhl, pure_shape_check
+from .pure import column_totals, herzog_kuhl, hk_pair, pure_shape_check
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
 
@@ -169,9 +172,25 @@ class ScanReport:
         )
 
 
-def _first_violation(totals: Sequence[Fraction], s: int) -> Optional[int]:
-    for j in range(s + 1):
-        if totals[j] < math.comb(s, j):
+def shape_sequences(s: int, d_max: int) -> Iterator[Tuple[int, ...]]:
+    """Degree sequences 0 = d_0 < d_1 < ... < d_s <= d_max with d_s - s <= 2*d_1 - 2.
+
+    Lexicographic, like `combinations`: for each d_1, the rest is chosen from
+    (d_1, min(d_max, s + 2*d_1 - 2)].  At s = 1 that interval is empty and the
+    condition d_1 >= 1 always holds, so every sequence is produced.
+    """
+    for d1 in range(1, d_max - s + 2):
+        top = min(d_max, s + 2 * d1 - 2)
+        for rest in combinations(range(d1 + 1, top + 1), s - 1):
+            yield (0, d1) + rest
+
+
+def _first_below(
+    pairs: Sequence[Tuple[int, int]], floor: Sequence[int], multiple: int = 1
+) -> Optional[int]:
+    """First column j >= 1 with multiple * num_j / den_j < C(s, j), if any."""
+    for j, (num, den) in enumerate(pairs, 1):
+        if multiple * num < floor[j] * den:
             return j
     return None
 
@@ -180,12 +199,17 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
     """Enumerate degree sequences with d_0 = 0 and run the selected check.
 
     * shape-verify: report any shape-satisfying sequence whose raw totals drop
-      below C(s, j) (none should exist).
+      below C(s, j) (none should exist).  Only the sequences meeting the shape
+      condition are visited (`shape_sequences`).
     * find-violations: report sequences whose smallest integral multiple of
       the pure diagram violates the binomial floor; these rays carry no
       diagram of any module satisfying the bound.
     * integral-violations: the find-violations test restricted to sequences
       whose pure diagram is integral outright or after doubling.
+
+    Every comparison is made on the integer pairs of `hk_pair`; column totals
+    are built as fractions only for reported rows.  `sequences_checked` is the
+    size of the domain, sum over s of C(d_max, s), in every mode.
     """
     s_values = tuple(sorted(set(s_range)))
     if not s_values:
@@ -200,32 +224,32 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
     rows = []
     checked = 0
     for s in s_values:
+        checked += math.comb(d_max, s)
+        floor = [math.comb(s, j) for j in range(s + 1)]
+        columns = range(1, s + 1)
+        if mode == "shape-verify":
+            for degrees in shape_sequences(s, d_max):
+                raw = _first_below([hk_pair(degrees, j) for j in columns], floor)
+                if raw is not None:
+                    rows.append(ScanRow(degrees, s, True, False, raw, column_totals(degrees)))
+            continue
         for upper in combinations(range(1, d_max + 1), s):
             degrees = (0,) + upper
-            checked += 1
-            totals = column_totals(degrees)
-            raw_violation = _first_violation(totals, s)
-            if mode == "shape-verify":
-                if pure_shape_check(degrees) and raw_violation is not None:
-                    rows.append(
-                        ScanRow(degrees, s, True, False, raw_violation, totals)
-                    )
-                continue
-            multiple = math.lcm(*(v.denominator for v in totals))
-            scaled = [multiple * v for v in totals]
-            scaled_violation = _first_violation(scaled, s)
-            if scaled_violation is None:
-                continue
+            pairs = [hk_pair(degrees, j) for j in columns]
+            multiple = math.lcm(*(den // math.gcd(num, den) for num, den in pairs))
             if mode == "integral-violations" and multiple > 2:
+                continue
+            scaled = _first_below(pairs, floor, multiple)
+            if scaled is None:
                 continue
             rows.append(
                 ScanRow(
                     degrees,
                     s,
                     pure_shape_check(degrees),
-                    raw_violation is None,
-                    scaled_violation,
-                    totals,
+                    _first_below(pairs, floor) is None,
+                    scaled,
+                    column_totals(degrees),
                 )
             )
     return ScanReport(mode, s_values, d_max, checked, tuple(rows))

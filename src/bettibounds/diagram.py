@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import (
+    DomainError,
     EmptyDiagramError,
     FormatError,
     GapColumnError,
@@ -29,6 +30,10 @@ DegreeSequence = Tuple[int, ...]
 GapVector = Tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+
+# `table()` is dense in the row offset j - i, so a sparse diagram with a vast
+# degree spread would need a row for every offset in between.
+MAX_TABLE_ROWS = 10_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -233,14 +238,23 @@ class BettiDiagram:
         return cls(pairs)
 
     def table(self) -> str:
-        """Human-readable table: rows indexed by j - i, columns by i, "." for zero."""
+        """Human-readable table: rows indexed by j - i, columns by i, "." for zero.
+
+        Raises DomainError when the rows would number more than MAX_TABLE_ROWS.
+        """
         if not self._entries:
             return "(empty Betti diagram)"
-        columns = range(self.projective_dimension() + 1)
         offsets = [j - i for i, j in self._entries]
+        low, high = min(offsets), max(offsets)
+        if high - low >= MAX_TABLE_ROWS:
+            raise DomainError(
+                f"the table would have {high - low + 1} rows, more than {MAX_TABLE_ROWS}; "
+                "the json format has no such limit"
+            )
+        columns = range(self.projective_dimension() + 1)
         grid = [[""] + [str(i) for i in columns]]
         grid.append(["total:"] + [format_rational(self.total(i)) for i in columns])
-        for r in range(min(offsets), max(offsets) + 1):
+        for r in range(low, high + 1):
             cells = (self._entries.get((i, r + i)) for i in columns)
             grid.append([f"{r}:"] + ["." if v is None else format_rational(v) for v in cells])
         return format_grid(grid)

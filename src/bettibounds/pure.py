@@ -6,7 +6,8 @@ forces every other entry through the Herzog-Kuhl product
 
     total_j = prod over i not in {0, j} of (d_i - d_0) / |d_i - d_j|.
 
-One integer kernel evaluates this product for pure diagrams, for column
+One integer kernel evaluates this product, as an unreduced pair of
+integers, for pure diagrams, for the comparisons of `beh.scan`, for column
 totals in gap coordinates e_i = d_i - d_{i-1} - 1 and for their logarithmic
 gradients: a rational gap vector is first cleared to integer positions, which
 leaves the totals unchanged.  In gap coordinates the column total is a
@@ -31,22 +32,29 @@ from .errors import DomainError, PoleError
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def _hk_total(p: Sequence[int], j: int) -> Fraction:
+def hk_pair(p: Sequence[int], j: int) -> Tuple[int, int]:
     """Herzog-Kuhl column-j total at integer positions p_0 < ... < p_s.
 
-    Differences are oriented (p_j - p_i below j, p_i - p_j above j), never
-    absolute, so off the orthant every factor keeps its sign; a vanishing
-    factor, possible only there, raises PoleError.
+    Returned as the unreduced integer pair (num, den); both are positive
+    when the positions increase.  Differences are oriented (p_j - p_i below
+    j, p_i - p_j above j), never absolute, so off the orthant every factor
+    keeps its sign; a vanishing factor, possible only there, raises PoleError.
     """
+    p0, pj = p[0], p[j]
     num = den = 1
-    pj = p[j]
-    for i in range(1, len(p)):
-        if i != j:
-            num *= p[i] - p[0]
-            den *= pj - p[i] if i < j else p[i] - pj
+    for pi in p[1:j]:
+        num *= pi - p0
+        den *= pj - pi
+    for pi in p[j + 1 :]:
+        num *= pi - p0
+        den *= pi - pj
     if not num or not den:
         raise PoleError("a linear form vanishes at this point")
-    return Fraction(num, den)
+    return num, den
+
+
+def _hk_total(p: Sequence[int], j: int) -> Fraction:
+    return Fraction(*hk_pair(p, j))
 
 
 def column_totals(degrees: Sequence[int]) -> Tuple[Fraction, ...]:

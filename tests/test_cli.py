@@ -214,3 +214,28 @@ def test_byte_identical_reruns(capsys):
         _, out, _ = run(capsys, "scan", "--s-max", "4", "--d-max", "9", "--mode", "integral-violations")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_pure_table_at_the_row_limit_prints(capsys):
+    code, out, err = run(capsys, "pure", "--degrees", "0,10000")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 + 10000
+    assert lines[2].split() == ["0:", "1", "."]
+    assert lines[-1].split() == ["9999:", ".", "1"]
+
+
+@pytest.mark.parametrize("degrees", ["0,10001", "0,99999999999999999999"])
+def test_pure_table_beyond_the_row_limit_is_a_domain_error(capsys, degrees):
+    code, out, err = run(capsys, "pure", "--degrees", degrees)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: domain: the table would have ")
+
+
+def test_pure_json_has_no_row_limit(capsys):
+    code, out, err = run(capsys, "pure", "--degrees", "0,99999999999999999999", "--format", "json")
+    assert code == 0 and err == ""
+    diagram = BettiDiagram.from_json(out)
+    assert diagram == BettiDiagram({(0, 0): 1, (1, 99999999999999999999): 1})
