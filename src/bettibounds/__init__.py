@@ -33,22 +33,13 @@ from .diagram import (
     seq_leq,
 )
 from .errors import (
-    BoundsError,
-    ConstraintError,
     DomainError,
-    EmptyDiagramError,
     FormatError,
     GapColumnError,
     InvalidSequenceError,
-    LengthMismatchError,
-    NegativeGapError,
     NoFirstSyzygyError,
     NotInConeError,
-    ParamError,
-    PoleError,
     TooManyGeneratorsError,
-    UnknownFamilyError,
-    ZeroNumeratorError,
 )
 from .monomial import MonomialIdeal, corpus, minimalize, subset_numerator, taylor_betti
 from .poly import Poly
@@ -67,26 +58,17 @@ from .pure import (
 __all__ = [
     "__version__",
     "BettiDiagram",
-    "BoundsError",
-    "ConstraintError",
     "Decomposition",
     "DomainError",
-    "EmptyDiagramError",
     "FormatError",
     "GapColumnError",
     "InvalidSequenceError",
-    "LengthMismatchError",
     "MonomialIdeal",
-    "NegativeGapError",
     "NoFirstSyzygyError",
     "NotInConeError",
-    "ParamError",
-    "PoleError",
     "Poly",
     "PowerBoundParams",
     "TooManyGeneratorsError",
-    "UnknownFamilyError",
-    "ZeroNumeratorError",
     "beh_check",
     "bound_vs_pure",
     "check_degree_sequence",

@@ -1,8 +1,9 @@
 """Lower bounds for column totals of powers of an equigenerated ideal.
 
 For an ideal of codimension c generated in a single degree delta whose
-regularity eventually equals delta*t + b, every pure diagram contributing to
-the t-th power has first gap delta*t and remaining gaps summing to at most b.
+regularity reg(I^t) eventually equals delta*t + b, every pure diagram
+contributing to S/I^t has first syzygy degree d_1 = delta*t, hence first gap
+e_1 = d_1 - d_0 - 1 = delta*t - 1, and remaining gaps summing to at most b.
 Minimizing the column-total function under those constraints gives an exact
 product bound in t whose leading term is
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .errors import ConstraintError, ParamError
+from .errors import DomainError
 from .poly import Poly
 from .pure import pure_total
 
@@ -35,42 +36,51 @@ class PowerBoundParams:
     t: int
 
     def __post_init__(self):
+        fields = (self.codim, self.delta, self.defect, self.j, self.t)
+        if any(type(x) is not int for x in fields):  # bool is an int subclass
+            raise DomainError(f"parameters must be integers, got {fields}")
         if self.codim < 1:
-            raise ParamError(f"codim must be >= 1, got {self.codim}")
+            raise DomainError(f"codim must be >= 1, got {self.codim}")
         if self.delta < 1:
-            raise ParamError(f"delta must be >= 1, got {self.delta}")
+            raise DomainError(f"delta must be >= 1, got {self.delta}")
         if self.defect < 0:
-            raise ParamError(f"defect must be >= 0, got {self.defect}")
+            raise DomainError(f"defect must be >= 0, got {self.defect}")
         if not 1 <= self.j <= self.codim:
-            raise ParamError(f"j must lie in 1..{self.codim}, got {self.j}")
+            raise DomainError(f"j must lie in 1..{self.codim}, got {self.j}")
         if self.t < 1:
-            raise ParamError(f"t must be >= 1, got {self.t}")
+            raise DomainError(f"t must be >= 1, got {self.t}")
+
+
+def _first_gap(delta: int, t):
+    """First gap e_1 = delta*t - 1 of S/I^t; t is an integer or the variable Poly."""
+    return delta * t - 1
+
+
+def _bound_product(codim: int, defect: int, j: int, e1):
+    """The bound at first gap e1, as the pair (numerator, integer denominator).
+
+    Numerator (1 + e1) ... (j-1 + e1) * (j+1 + e1 + b) ... (c + e1 + b) over
+    (1+b)...(j-1+b) * (1+b)...(c-j+b); e1 may be an integer or a Poly.
+    """
+    numerator = 1
+    for i in range(1, j):
+        numerator = numerator * (i + e1)
+    for i in range(j + 1, codim + 1):
+        numerator = numerator * (i + e1 + defect)
+    return numerator, math.perm(j - 1 + defect, j - 1) * math.perm(codim - j + defect, codim - j)
 
 
 def exact_lower_bound_poly(codim: int, delta: int, defect: int, j: int) -> Poly:
-    """The pre-asymptotic bound as an exact polynomial in the power t.
-
-    Numerator (1 + delta*t) ... (j-1 + delta*t) * (j+1 + delta*t + b) ... (c + delta*t + b)
-    over the constant (1+b)...(j-1+b) * (1+b)...(c-j+b).
-    """
+    """The pre-asymptotic bound as an exact polynomial in the power t."""
     PowerBoundParams(codim, delta, defect, j, 1)
-    numerator = Poly.constant(1)
-    for i in range(1, j):
-        numerator = numerator * Poly({0: i, 1: delta})
-    for i in range(j + 1, codim + 1):
-        numerator = numerator * Poly({0: i + defect, 1: delta})
-    denominator = Fraction(1)
-    for i in range(1, j):
-        denominator *= i + defect
-    for i in range(1, codim - j + 1):
-        denominator *= i + defect
-    return numerator * (1 / denominator)
+    numerator, denominator = _bound_product(codim, defect, j, _first_gap(delta, Poly.variable()))
+    return Poly.constant(Fraction(1, denominator)) * numerator
 
 
 def exact_lower_bound(params: PowerBoundParams) -> Fraction:
     """Value of the product bound at the given power."""
-    poly = exact_lower_bound_poly(params.codim, params.delta, params.defect, params.j)
-    return poly(params.t)
+    e1 = _first_gap(params.delta, params.t)
+    return Fraction(*_bound_product(params.codim, params.defect, params.j, e1))
 
 
 def leading_coefficient(codim: int, delta: int, defect: int, j: int) -> Fraction:
@@ -105,21 +115,19 @@ class PowerBoundComparison:
 def bound_vs_pure(params: PowerBoundParams, e_tail: Sequence[int]) -> PowerBoundComparison:
     """Evaluate the pure column total on a constrained gap vector and compare.
 
-    The gap vector is (t*delta, e_2, ..., e_s) with nonnegative integer tail
-    summing to at most the defect and s >= codim; the pure value must dominate
-    the exact bound, which dominates its own leading term.
+    The gap vector is (delta*t - 1, e_2, ..., e_s) with a nonnegative integer
+    tail summing to at most the defect and s >= codim; the pure value must
+    dominate the exact bound, which dominates its own leading term.
     """
-    tail = tuple(int(x) for x in e_tail)
-    if any(x < 0 for x in tail):
-        raise ParamError(f"gap tail must be nonnegative, got {tail}")
+    tail = tuple(e_tail)
+    if any(type(x) is not int or x < 0 for x in tail):  # bool is an int subclass
+        raise DomainError(f"gap tail must be nonnegative integers, got {tail}")
     s = len(tail) + 1
     if s < params.codim:
-        raise ParamError(f"need s >= codim, got s={s} < {params.codim}")
+        raise DomainError(f"need s >= codim, got s={s} < {params.codim}")
     if sum(tail) > params.defect:
-        raise ConstraintError(
-            f"gap tail sums to {sum(tail)} > defect {params.defect}"
-        )
-    gap_vector = (Fraction(params.t * params.delta),) + tuple(Fraction(x) for x in tail)
+        raise DomainError(f"gap tail sums to {sum(tail)} > defect {params.defect}")
+    gap_vector = tuple(map(Fraction, (_first_gap(params.delta, params.t),) + tail))
     value = pure_total(params.j, gap_vector)
     return PowerBoundComparison(
         params,

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
-from .errors import BoundsError, DomainError, EmptyDiagramError, NoFirstSyzygyError
+from .errors import DomainError, NoFirstSyzygyError
 from .pure import column_totals, herzog_kuhl, hk_pair, pure_shape_check
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
@@ -29,7 +29,7 @@ SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
 def shape_hypothesis(diagram: BettiDiagram) -> bool:
     """True when generators sit in degrees <= 0 and reg <= 2*min_deg_1 - 2."""
     if not diagram:
-        raise EmptyDiagramError("empty diagram")
+        raise DomainError("empty diagram")
     if diagram.projective_dimension() < 1:
         raise NoFirstSyzygyError("column 1 is empty; the hypothesis is vacuous")
     max_deg = diagram.max_degrees()
@@ -93,7 +93,7 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
     generator sits in degree 0 (noted in the report).
     """
     if not diagram:
-        raise EmptyDiagramError("empty diagram")
+        raise DomainError("empty diagram")
     c = diagram.codimension() if codim is None else codim
     if c < 0:
         raise DomainError(f"codimension must be >= 0, got {c}")
@@ -213,13 +213,13 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
     """
     s_values = tuple(sorted(set(s_range)))
     if not s_values:
-        raise BoundsError("empty s range")
+        raise DomainError("empty s range")
     if s_values[0] < 1 or s_values[-1] > 8:
-        raise BoundsError(f"s range must lie in [1, 8], got {s_values}")
+        raise DomainError(f"s range must lie in [1, 8], got {s_values}")
     if not 1 <= d_max <= 20:
-        raise BoundsError(f"d_max must lie in [1, 20], got {d_max}")
+        raise DomainError(f"d_max must lie in [1, 20], got {d_max}")
     if mode not in SCAN_MODES:
-        raise BoundsError(f"unknown mode {mode!r}; choose from {SCAN_MODES}")
+        raise DomainError(f"unknown mode {mode!r}; choose from {SCAN_MODES}")
 
     rows = []
     checked = 0

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .diagram import BettiDiagram, check_degree_sequence, format_rational, load_json, parse_rational, seq_leq
-from .errors import EmptyDiagramError, FormatError, GapColumnError, InvalidSequenceError, NotInConeError
+from .errors import DomainError, FormatError, GapColumnError, InvalidSequenceError, NotInConeError
 from .pure import herzog_kuhl
 
 
@@ -62,7 +62,7 @@ class Decomposition:
 def decompose(diagram: BettiDiagram) -> Decomposition:
     """Greedy chain decomposition; exact, and invertible by :func:`recompose`."""
     if not diagram:
-        raise EmptyDiagramError("cannot decompose the zero diagram")
+        raise DomainError("cannot decompose the zero diagram")
     if any(value < 0 for _, value in diagram.items()):
         raise NotInConeError("diagram has a negative entry")
     work = diagram

@@ -16,13 +16,9 @@ from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     DomainError,
-    EmptyDiagramError,
     FormatError,
     GapColumnError,
     InvalidSequenceError,
-    LengthMismatchError,
-    NegativeGapError,
-    ZeroNumeratorError,
 )
 from .poly import Poly
 
@@ -156,7 +152,7 @@ class BettiDiagram:
 
     def projective_dimension(self) -> int:
         if not self._entries:
-            raise EmptyDiagramError("empty diagram has no projective dimension")
+            raise DomainError("empty diagram has no projective dimension")
         return max(i for i, _ in self._entries)
 
     def total(self, i: int) -> Fraction:
@@ -175,7 +171,7 @@ class BettiDiagram:
 
     def _column_extremes(self, pick) -> DegreeSequence:
         if not self._entries:
-            raise EmptyDiagramError("empty diagram")
+            raise DomainError("empty diagram")
         columns: dict[int, list[int]] = {}
         for i, j in self._entries:
             columns.setdefault(i, []).append(j)
@@ -189,7 +185,7 @@ class BettiDiagram:
 
     def regularity(self) -> int:
         if not self._entries:
-            raise EmptyDiagramError("empty diagram has no regularity")
+            raise DomainError("empty diagram has no regularity")
         return max(j - i for i, j in self._entries)
 
     def hilbert_numerator(self) -> Poly:
@@ -200,7 +196,7 @@ class BettiDiagram:
         """Order of vanishing of the Hilbert numerator at t = 1."""
         numerator = self.hilbert_numerator()
         if not numerator:
-            raise ZeroNumeratorError("Hilbert numerator is identically zero")
+            raise DomainError("Hilbert numerator is identically zero")
         return numerator.vanishing_order_at_one()
 
     # -- wire format -----------------------------------------------------------
@@ -291,7 +287,7 @@ def check_degree_sequence(degrees: Sequence[int]) -> DegreeSequence:
 def seq_leq(lower: Sequence[int], upper: Sequence[int]) -> bool:
     """Termwise comparison of equal-length degree sequences."""
     if len(lower) != len(upper):
-        raise LengthMismatchError(f"lengths {len(lower)} and {len(upper)} differ")
+        raise DomainError(f"lengths {len(lower)} and {len(upper)} differ")
     return all(a <= b for a, b in zip(lower, upper))
 
 
@@ -310,6 +306,6 @@ def from_gaps(gap_vector: Sequence, d0: int = 0) -> DegreeSequence:
     for e in gap_vector:
         e = Fraction(e)
         if e < 0 or e.denominator != 1:
-            raise NegativeGapError(f"gap coordinates must be nonnegative integers, got {e}")
+            raise DomainError(f"gap coordinates must be nonnegative integers, got {e}")
         out.append(out[-1] + 1 + int(e))
     return tuple(out)

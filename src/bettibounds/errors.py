@@ -6,39 +6,25 @@ class BettiError(Exception):
 
 
 class FormatError(BettiError):
-    """Malformed wire-format input (rational literal, JSON shape, ideal data)."""
+    """Malformed input: a rational literal, a JSON shape, ideal data or a corpus family name."""
 
 
-class EmptyDiagramError(BettiError):
-    """Operation requires a nonzero diagram."""
+class DomainError(BettiError):
+    """Argument outside the mathematical domain of the function.
+
+    This covers empty diagrams and a vanishing Hilbert numerator, negative or
+    non-integer gaps, sequences of different lengths, a vanishing denominator
+    at an evaluation point, out-of-range bound parameters or gap tails, and
+    scan ranges outside the guard rails.
+    """
 
 
 class GapColumnError(BettiError):
     """A column strictly below the projective dimension is entirely zero."""
 
 
-class ZeroNumeratorError(BettiError):
-    """The Hilbert numerator vanishes identically."""
-
-
-class LengthMismatchError(BettiError):
-    """Termwise comparison of sequences with different lengths."""
-
-
 class InvalidSequenceError(BettiError):
     """Degree sequence is not a strictly increasing integer tuple."""
-
-
-class NegativeGapError(BettiError):
-    """Gap vector has a negative or non-integer coordinate where a degree sequence is required."""
-
-
-class DomainError(BettiError):
-    """Argument outside the mathematical domain of the function."""
-
-
-class PoleError(BettiError):
-    """A denominator linear form vanishes at the evaluation point."""
 
 
 class NotInConeError(BettiError):
@@ -51,19 +37,3 @@ class NoFirstSyzygyError(BettiError):
 
 class TooManyGeneratorsError(BettiError):
     """Generator count exceeds the subset-enumeration guard."""
-
-
-class UnknownFamilyError(BettiError):
-    """Unrecognized corpus family name."""
-
-
-class ParamError(BettiError):
-    """Invalid asymptotic-bound parameters."""
-
-
-class ConstraintError(BettiError):
-    """Gap tail violates the constraint required by the bound."""
-
-
-class BoundsError(BettiError):
-    """Scan range outside the guard rails."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .diagram import BettiDiagram, load_json
-from .errors import FormatError, TooManyGeneratorsError, UnknownFamilyError
+from .errors import FormatError, TooManyGeneratorsError
 from .poly import Poly
 
 MAX_GENERATORS = 20
@@ -240,10 +240,10 @@ def _parse_monomial(text: str, nvars: int) -> Tuple[int, ...]:
     for factor in text.split("*"):
         match = _MONOMIAL_TERM_RE.fullmatch(factor.strip())
         if not match:
-            raise UnknownFamilyError(f"cannot parse monomial factor {factor!r}")
+            raise FormatError(f"cannot parse monomial factor {factor!r}")
         index = int(match.group(1))
         if index >= nvars:
-            raise UnknownFamilyError(f"variable x{index} outside x0..x{nvars - 1}")
+            raise FormatError(f"variable x{index} outside x0..x{nvars - 1}")
         exponents[index] += int(match.group(2) or 1)
     return tuple(exponents)
 
@@ -268,7 +268,7 @@ def corpus(name: str) -> MonomialIdeal:
     """
     match = _FAMILY_RE.fullmatch(name)
     if not match:
-        raise UnknownFamilyError(f"cannot parse family {name!r}")
+        raise FormatError(f"cannot parse family {name!r}")
     family, arg_text = match.group(1), match.group(2)
     args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
 
@@ -276,9 +276,9 @@ def corpus(name: str) -> MonomialIdeal:
         try:
             value = int(args[position])
         except (IndexError, ValueError):
-            raise UnknownFamilyError(f"{family} needs an integer argument {position}") from None
+            raise FormatError(f"{family} needs an integer argument {position}") from None
         if value < minimum:
-            raise UnknownFamilyError(f"{family} argument {position} must be >= {minimum}")
+            raise FormatError(f"{family} argument {position} must be >= {minimum}")
         return value
 
     if family == "power-of-maximal":
@@ -287,11 +287,11 @@ def corpus(name: str) -> MonomialIdeal:
     if family == "vplusm":
         n, d = int_arg(0, 1), int_arg(1, 1)
         if len(args) < 3:
-            raise UnknownFamilyError("vplusm needs at least one monomial argument")
+            raise FormatError("vplusm needs at least one monomial argument")
         span = [_parse_monomial(text, n) for text in args[2:]]
         for vector in span:
             if sum(vector) != d:
-                raise UnknownFamilyError(f"vplusm monomial {vector} is not of degree {d}")
+                raise FormatError(f"vplusm monomial {vector} is not of degree {d}")
         return minimalize(n, span + list(_degree_monomials(n, d + 1)))
     if family == "square-free-example":
         k = int_arg(0, 2)
@@ -302,4 +302,4 @@ def corpus(name: str) -> MonomialIdeal:
                 vector[a] = vector[b] = 1
                 gens.append(tuple(vector))
         return minimalize(k, gens)
-    raise UnknownFamilyError(f"unknown family {family!r}")
+    raise FormatError(f"unknown family {family!r}")

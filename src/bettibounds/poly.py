@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from .errors import ZeroNumeratorError
+from .errors import DomainError
 
 
 class Poly:
@@ -134,7 +134,7 @@ class Poly:
         with the degree spread.  Coefficients are scaled to integers first.
         """
         if not self._terms:
-            raise ZeroNumeratorError("zero polynomial")
+            raise DomainError("zero polynomial")
         terms = self.items()
         base = terms[0][0]
         scale = math.lcm(*(c.denominator for _, c in terms))

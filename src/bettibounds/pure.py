@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, check_degree_sequence, format_rational
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -38,7 +38,7 @@ def hk_pair(p: Sequence[int], j: int) -> Tuple[int, int]:
     Returned as the unreduced integer pair (num, den); both are positive
     when the positions increase.  Differences are oriented (p_j - p_i below
     j, p_i - p_j above j), never absolute, so off the orthant every factor
-    keeps its sign; a vanishing factor, possible only there, raises PoleError.
+    keeps its sign; a vanishing factor, possible only there, raises DomainError.
     """
     p0, pj = p[0], p[j]
     num = den = 1
@@ -49,7 +49,7 @@ def hk_pair(p: Sequence[int], j: int) -> Tuple[int, int]:
         num *= pi - p0
         den *= pi - pj
     if not num or not den:
-        raise PoleError("a linear form vanishes at this point")
+        raise DomainError("a linear form vanishes at this point")
     return num, den
 
 

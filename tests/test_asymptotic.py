@@ -1,29 +1,33 @@
 import math
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from bettibounds import (
-    ConstraintError,
-    ParamError,
+    BettiDiagram,
+    DomainError,
     PowerBoundParams,
     bound_vs_pure,
     exact_lower_bound,
     exact_lower_bound_poly,
     leading_bound,
     leading_coefficient,
+    minimalize,
     pure_total,
+    shape_hypothesis,
 )
+from helpers import upper_koszul_betti
 
 
 def direct_product_bound(codim, delta, defect, j, t):
     """The bound recomputed factor by factor, independent of the Poly path."""
     value = Fraction(1)
     for i in range(1, j):
-        value *= i + t * delta
+        value *= i + t * delta - 1
     for i in range(j + 1, codim + 1):
-        value *= i + t * delta + defect
+        value *= i + t * delta - 1 + defect
     for i in range(1, j):
         value /= i + defect
     for i in range(1, codim - j + 1):
@@ -33,9 +37,9 @@ def direct_product_bound(codim, delta, defect, j, t):
 
 def test_exact_bound_examples():
     for t in range(1, 8):
-        assert exact_lower_bound(PowerBoundParams(2, 2, 0, 1, t)) == 2 * t + 2
+        assert exact_lower_bound(PowerBoundParams(2, 2, 0, 1, t)) == 2 * t + 1
     assert exact_lower_bound(PowerBoundParams(1, 3, 2, 1, 9)) == 1  # empty products
-    assert exact_lower_bound(PowerBoundParams(3, 1, 1, 2, 5)) == Fraction(27, 2)
+    assert exact_lower_bound(PowerBoundParams(3, 1, 1, 2, 5)) == 10
 
 
 def test_exact_bound_matches_direct_product():
@@ -121,18 +125,86 @@ def test_bound_vs_pure_equality_at_matching_length():
                 assert comparison.pure_value == comparison.exact_bound
 
 
+def power_diagrams():
+    """(delta, t, S/I^t) for powers of 150 seeded random ideals generated in one degree delta.
+
+    Each ideal has 2-4 variables, delta in 1..3 and 2-5 generators; its powers
+    stop at t = 3 or before the first with more than 14 generators.  The
+    diagrams come from the helpers' upper Koszul oracle.
+    """
+    rng = random.Random(0)
+    for _ in range(150):
+        nvars, delta = rng.randint(2, 4), rng.randint(1, 3)
+        monomials = [
+            tuple(combo.count(v) for v in range(nvars))
+            for combo in combinations_with_replacement(range(nvars), delta)
+        ]
+        gens = rng.sample(monomials, min(rng.randint(2, 5), len(monomials)))
+        for t in range(1, 4):
+            power = minimalize(
+                nvars,
+                [tuple(map(sum, zip(*factors))) for factors in combinations_with_replacement(gens, t)],
+            )
+            if len(power.generators) > 14:
+                break
+            yield delta, t, BettiDiagram(upper_koszul_betti(power))
+
+
+def genuine_bound_checks(delta, t, diagram):
+    """(total_j, exact bound) for j = 1..codim, with b(t) = reg(S/I^t) + 1 - delta*t."""
+    codim = diagram.codimension()
+    defect = diagram.regularity() + 1 - delta * t
+    for j in range(1, codim + 1):
+        yield diagram.total(j), exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
+
+
+def test_exact_bound_holds_on_powers_of_the_maximal_ideal():
+    # S/(x, y, z)^t: beta_1 is the number of degree-t monomials, 3 and then 6
+    for t, beta_1 in ((1, 3), (2, 6)):
+        ideal = minimalize(3, [combo for combo in product(range(t + 1), repeat=3) if sum(combo) == t])
+        diagram = BettiDiagram(upper_koszul_betti(ideal))
+        assert shape_hypothesis(diagram)
+        checks = list(genuine_bound_checks(1, t, diagram))
+        assert checks[0] == (beta_1, beta_1)
+        assert all(total >= bound for total, bound in checks)
+
+
+def test_exact_bound_holds_on_genuine_powers():
+    diagrams = checked = 0
+    for delta, t, diagram in power_diagrams():
+        diagrams += 1
+        if not shape_hypothesis(diagram):
+            continue
+        for total, bound in genuine_bound_checks(delta, t, diagram):
+            checked += 1
+            assert total >= bound, (delta, t, diagram.items())
+    assert (diagrams, checked) == (408, 824)
+
+
 def test_parameter_validation():
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         PowerBoundParams(0, 1, 0, 1, 1)
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         PowerBoundParams(2, 0, 0, 1, 1)
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         PowerBoundParams(2, 1, -1, 1, 1)
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         PowerBoundParams(2, 1, 0, 3, 1)
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         PowerBoundParams(2, 1, 0, 1, 0)
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         bound_vs_pure(PowerBoundParams(3, 1, 1, 1, 1), ())  # s < codim
-    with pytest.raises(ConstraintError):
+    with pytest.raises(DomainError):
         bound_vs_pure(PowerBoundParams(2, 1, 1, 1, 1), (2,))  # tail sum > defect
+
+
+@pytest.mark.parametrize("args", [(2, 1.5, 0, 1, 1), (2, True, 0, 1, 2), (2, 1, 0, 1, 2.5)])
+def test_parameters_must_be_integers(args):
+    with pytest.raises(DomainError):
+        PowerBoundParams(*args)
+
+
+@pytest.mark.parametrize("tail", [(1.9, 0.5), (True, 0), (Fraction(1), 0), ("1", 0)])
+def test_bound_vs_pure_refuses_non_integer_tails(tail):
+    with pytest.raises(DomainError):
+        bound_vs_pure(PowerBoundParams(3, 1, 2, 1, 1), tail)

@@ -5,8 +5,7 @@ import pytest
 
 from bettibounds import (
     BettiDiagram,
-    BoundsError,
-    EmptyDiagramError,
+    DomainError,
     NoFirstSyzygyError,
     beh_check,
     decompose,
@@ -29,7 +28,7 @@ def test_shape_hypothesis_examples():
 
 
 def test_shape_hypothesis_errors():
-    with pytest.raises(EmptyDiagramError):
+    with pytest.raises(DomainError):
         shape_hypothesis(BettiDiagram())
     with pytest.raises(NoFirstSyzygyError):
         shape_hypothesis(BettiDiagram({(0, 0): 3, (0, -1): 1}))
@@ -110,13 +109,13 @@ def test_beh_report_json():
 
 
 def test_scan_guard_rails():
-    with pytest.raises(BoundsError):
+    with pytest.raises(DomainError):
         scan(range(0, 3), 10, "shape-verify")
-    with pytest.raises(BoundsError):
+    with pytest.raises(DomainError):
         scan(range(1, 10), 10, "shape-verify")
-    with pytest.raises(BoundsError):
+    with pytest.raises(DomainError):
         scan(range(1, 3), 25, "shape-verify")
-    with pytest.raises(BoundsError):
+    with pytest.raises(DomainError):
         scan(range(1, 3), 10, "bogus")
 
 

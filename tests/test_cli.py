@@ -116,7 +116,7 @@ def test_scan_csv_and_exit_codes(capsys):
 def test_scan_guard_rail_usage_error(capsys):
     code, _, err = run(capsys, "scan", "--s-max", "9", "--d-max", "8", "--mode", "find-violations")
     assert code == 2
-    assert err.startswith("error: bounds:")
+    assert err.startswith("error: domain:")
 
 
 def test_asymptotic_table_and_json(capsys):
@@ -126,7 +126,7 @@ def test_asymptotic_table_and_json(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].split() == ["t", "leading", "exact"]
-    assert lines[1].split() == ["1", "2", "4"]
+    assert lines[1].split() == ["1", "2", "3"]
 
     code, out, _ = run(
         capsys,
@@ -137,7 +137,7 @@ def test_asymptotic_table_and_json(capsys):
     )
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert rows[0] == {"t": 1, "leading": "1/4", "exact": "5/2", "pure": "5"}
+    assert rows[0] == {"t": 1, "leading": "1/4", "exact": "1", "pure": "2"}
 
 
 def test_verify_lemmas_runs_and_passes(capsys):
@@ -171,7 +171,7 @@ def test_verify_lemmas_json_schema(capsys):
     [
         (["verify-lemmas", "--samples", "10", "--seed", "1", "--s-max", "0"], "domain"),
         (["verify-lemmas", "--samples", "-5", "--seed", "1"], "domain"),
-        (["asymptotic", "--codim", "2", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "0"], "param"),
+        (["asymptotic", "--codim", "2", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "0"], "domain"),
     ],
     ids=["s-max-0", "negative-samples", "t-max-0"],
 )

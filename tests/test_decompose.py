@@ -6,7 +6,7 @@ import pytest
 from bettibounds import (
     BettiDiagram,
     Decomposition,
-    EmptyDiagramError,
+    DomainError,
     InvalidSequenceError,
     NotInConeError,
     decompose,
@@ -84,7 +84,7 @@ def test_recompose_inverts_on_random_combinations():
 
 
 def test_empty_and_invalid_inputs():
-    with pytest.raises(EmptyDiagramError):
+    with pytest.raises(DomainError):
         decompose(BettiDiagram())
     assert recompose(Decomposition(())) == BettiDiagram()
     with pytest.raises(NotInConeError):

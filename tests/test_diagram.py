@@ -6,14 +6,11 @@ from hypothesis import given, strategies as st
 
 from bettibounds import (
     BettiDiagram,
-    EmptyDiagramError,
+    DomainError,
     FormatError,
     GapColumnError,
     InvalidSequenceError,
-    LengthMismatchError,
-    NegativeGapError,
     Poly,
-    ZeroNumeratorError,
     check_degree_sequence,
     format_rational,
     from_gaps,
@@ -94,7 +91,7 @@ def test_min_max_degrees():
 
 
 def test_min_degrees_errors():
-    with pytest.raises(EmptyDiagramError):
+    with pytest.raises(DomainError):
         BettiDiagram().min_degrees()
     with pytest.raises(GapColumnError):
         BettiDiagram({(0, 0): 1, (2, 3): 1}).min_degrees()
@@ -124,7 +121,7 @@ def test_codimension_examples():
 
 
 def test_codimension_zero_numerator():
-    with pytest.raises(ZeroNumeratorError):
+    with pytest.raises(DomainError):
         BettiDiagram({(0, 0): 1, (1, 0): 1}).codimension()
 
 
@@ -158,16 +155,16 @@ def test_seq_leq():
     assert seq_leq((0, 1, 2), (0, 2, 3))
     assert seq_leq((0, 1, 2), (0, 1, 2))
     assert not seq_leq((0, 3, 4), (0, 2, 5))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DomainError):
         seq_leq((0, 1), (0, 1, 2))
 
 
 def test_gaps_and_from_gaps():
     assert gaps((0, 1, 2, 4)) == (0, 0, 1)
     assert from_gaps((1, 0, 0), 0) == (0, 2, 3, 4)
-    with pytest.raises(NegativeGapError):
+    with pytest.raises(DomainError):
         from_gaps((-1, 0))
-    with pytest.raises(NegativeGapError):
+    with pytest.raises(DomainError):
         from_gaps((Fraction(1, 2),))
     with pytest.raises(InvalidSequenceError):
         check_degree_sequence((0, 0, 1))

@@ -11,7 +11,6 @@ from bettibounds import (
     FormatError,
     MonomialIdeal,
     TooManyGeneratorsError,
-    UnknownFamilyError,
     beh_check,
     corpus,
     decompose,
@@ -81,7 +80,7 @@ def test_corpus_families():
 
 def test_corpus_unknown_names():
     for bad in ("nope(1)", "power-of-maximal(2)", "vplusm(2,2)", "vplusm(2,2,x0)", "power-of-maximal"):
-        with pytest.raises(UnknownFamilyError):
+        with pytest.raises(FormatError):
             corpus(bad)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from bettibounds import (
     DomainError,
-    PoleError,
     from_gaps,
     herzog_kuhl,
     koszul,
@@ -185,7 +184,7 @@ def test_partial_hand_computed():
 
 def test_partial_pole_off_orthant():
     # T_2 = 2 + e_1 + e_2 vanishes at (-2, 0); impossible for e >= 0
-    with pytest.raises(PoleError):
+    with pytest.raises(DomainError):
         pure_total_partial(1, 1, (-2, 0))
     assert pure_total_partial(1, 1, (-1, 0)) != 0  # no vanishing form, still exact
 
