@@ -2,13 +2,15 @@
 
 Exit codes: 0 = success or all checks passed; 1 = a mathematical finding
 (a violated bound, a diagram outside the decomposable cone); 2 = usage or
-input error.  Errors print one machine-parsable line on stderr.
+input error.  Every failure, argparse's included, prints one `error: <kind>:
+<detail>` line on stderr; only --help and --version exit through SystemExit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -16,8 +18,8 @@ from . import __version__
 from .asymptotic import PowerBoundParams, bound_vs_pure, exact_lower_bound, leading_bound
 from .beh import SCAN_MODES, beh_check, pure_beh_check, scan
 from .decompose import decompose, validate_bounds
-from .diagram import BettiDiagram, check_degree_sequence, format_grid, format_rational
-from .errors import BettiError, FormatError, NotInConeError
+from .diagram import BettiDiagram, format_grid, format_rational
+from .errors import BettiError, FormatError, NotInConeError, UsageError
 from .monomial import MonomialIdeal, corpus, taylor_betti
 from .pure import (
     herzog_kuhl,
@@ -32,20 +34,13 @@ EXIT_USAGE = 2
 
 
 def _error_slug(exc: BettiError) -> str:
-    name = type(exc).__name__
-    if name.endswith("Error"):
-        name = name[: -len("Error")]
-    out = []
-    for ch in name:
-        if ch.isupper() and out:
-            out.append("-")
-        out.append(ch.lower())
-    return "".join(out)
+    """NotInConeError -> "not-in-cone"."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.removesuffix("Error")).lower()
 
 
 def _parse_degrees(text: str):
     try:
-        return check_degree_sequence(tuple(int(x) for x in text.split(",")))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise FormatError(f"cannot parse degree sequence {text!r}") from None
 
@@ -171,6 +166,8 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_monomial_betti(args) -> int:
+    if bool(args.file) == bool(args.family):
+        raise UsageError("provide exactly one of FILE or --family")
     if args.family:
         ideal = corpus(args.family)
     else:
@@ -183,8 +180,15 @@ def _add_format(parser):
     parser.add_argument("--format", choices=("table", "json"), default="table")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse prints usage and exits; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="betti",
         description="Exact Betti-diagram toolkit: pure diagrams, cone decomposition, "
         "binomial rank bounds, and monomial-ideal resolutions.",
@@ -252,19 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "monomial-betti" and bool(args.file) == bool(args.family):
-        print("error: usage: provide exactly one of FILE or --family", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except NotInConeError as exc:
-        print(f"error: {_error_slug(exc)}: {exc}", file=sys.stderr)
-        return EXIT_FINDING
     except BettiError as exc:
-        print(f"error: {_error_slug(exc)}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a detail may quote an argument or a path that holds a line break
+        detail = " ".join(str(exc).splitlines())
+        print(f"error: {_error_slug(exc)}: {detail}", file=sys.stderr)
+        return EXIT_FINDING if isinstance(exc, NotInConeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

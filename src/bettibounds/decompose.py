@@ -76,10 +76,9 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
         except GapColumnError as exc:
             raise NotInConeError(f"interior zero column: {exc}") from exc
         try:
-            degrees = check_degree_sequence(degrees)
+            pure = herzog_kuhl(degrees)
         except InvalidSequenceError as exc:
             raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}") from exc
-        pure = herzog_kuhl(degrees)
         coefficient = min(work[(i, d)] / pure[(i, d)] for i, d in enumerate(degrees))
         if coefficient <= 0:
             raise NotInConeError(f"nonpositive coefficient {coefficient} at {degrees}")

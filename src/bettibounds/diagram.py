@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -27,8 +28,9 @@ GapVector = Tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
-# `table()` is dense in the row offset j - i, so a sparse diagram with a vast
-# degree spread would need a row for every offset in between.
+# `table()` is dense in the row offset j - i and in the homological index i, so
+# a sparse diagram with a vast degree spread or projective dimension would need
+# a row or column for every value in between.  The limit bounds both counts.
 MAX_TABLE_ROWS = 10_000
 
 
@@ -43,18 +45,30 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(stripped)
     except ZeroDivisionError:
         raise FormatError(f"zero denominator: {text!r}") from None
+    except ValueError:  # the interpreter's limit on integer string conversion
+        raise FormatError(
+            f"rational literal has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_rational(value) -> str:
     """Render a rational as "p" or "p/q" in lowest terms with q > 0."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # the interpreter's limit on integer string conversion
+        raise DomainError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for printing an integer"
+        ) from None
 
 
 def load_json(text: str):
     """Decode JSON text, reporting malformed input as a FormatError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, as is an integer beyond the interpreter's
+    # digit limit; nesting deeper than the recursion limit is a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
@@ -219,35 +233,37 @@ class BettiDiagram:
         entries = payload["entries"]
         if not isinstance(entries, list):
             raise FormatError('"entries" must be a list')
-        seen = set()
         pairs = []
         for row in entries:
             if not isinstance(row, dict) or not {"i", "j", "value"} <= set(row):
                 raise FormatError(f"diagram entry must have i, j, value: {row!r}")
-            i, j = row["i"], row["j"]
-            if type(i) is not int or type(j) is not int:  # bool is an int subclass
-                raise FormatError(f"entry indices must be integers: {row!r}")
-            if (i, j) in seen:
-                raise FormatError(f"duplicate entry at ({i}, {j})")
-            seen.add((i, j))
-            pairs.append(((i, j), parse_rational(row["value"])))
-        return cls(pairs)
+            pairs.append(((row["i"], row["j"]), parse_rational(row["value"])))
+        diagram = cls(pairs)  # checks the indices, so every key below is hashable
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate entry at ({key[0]}, {key[1]})")
+            seen.add(key)
+        return diagram
 
     def table(self) -> str:
         """Human-readable table: rows indexed by j - i, columns by i, "." for zero.
 
-        Raises DomainError when the rows would number more than MAX_TABLE_ROWS.
+        Raises DomainError when the rows or the columns would number more than
+        MAX_TABLE_ROWS.
         """
         if not self._entries:
             return "(empty Betti diagram)"
         offsets = [j - i for i, j in self._entries]
         low, high = min(offsets), max(offsets)
-        if high - low >= MAX_TABLE_ROWS:
-            raise DomainError(
-                f"the table would have {high - low + 1} rows, more than {MAX_TABLE_ROWS}; "
-                "the json format has no such limit"
-            )
         columns = range(self.projective_dimension() + 1)
+        for count, what in ((high - low + 1, "rows"), (columns.stop, "columns")):
+            if count > MAX_TABLE_ROWS:
+                # format_rational refuses a count beyond the interpreter's digit limit
+                raise DomainError(
+                    f"the table would have {format_rational(count)} {what}, "
+                    f"more than {MAX_TABLE_ROWS}; the json format has no such limit"
+                )
         grid = [[""] + [str(i) for i in columns]]
         grid.append(["total:"] + [format_rational(self.total(i)) for i in columns])
         for r in range(low, high + 1):

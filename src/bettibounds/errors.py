@@ -37,3 +37,7 @@ class NoFirstSyzygyError(BettiError):
 
 class TooManyGeneratorsError(BettiError):
     """Generator count exceeds the subset-enumeration guard."""
+
+
+class UsageError(BettiError):
+    """Command line that argparse refuses, or not exactly one of FILE and --family."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
@@ -56,16 +57,7 @@ class MonomialIdeal:
         gens = payload["generators"]
         if not isinstance(gens, list) or not gens:
             raise FormatError("generators must be a nonempty list")
-        vectors = []
-        for g in gens:
-            if (
-                not isinstance(g, list)
-                or len(g) != nvars
-                or any(type(x) is not int or x < 0 for x in g)
-            ):
-                raise FormatError(f"generator must be a length-{nvars} list of ints >= 0: {g!r}")
-            vectors.append(tuple(g))
-        return minimalize(nvars, vectors)
+        return minimalize(nvars, gens)
 
 
 def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -77,13 +69,18 @@ def _grlex_key(exponents: Sequence[int]):
 
 
 def minimalize(nvars: int, generators: Iterable[Sequence[int]]) -> MonomialIdeal:
-    """Drop generators divisible by another; order the rest graded-lex."""
-    vectors = {tuple(int(x) for x in g) for g in generators}
+    """Drop generators divisible by another; order the rest graded-lex.
+
+    Each generator is a list or tuple of nvars entries of type int, each >= 0.
+    """
+    vectors = set()
+    for g in generators:
+        shaped = isinstance(g, (list, tuple)) and len(g) == nvars
+        if not shaped or any(type(x) is not int or x < 0 for x in g):  # bool is an int subclass
+            raise FormatError(f"generator must be a length-{nvars} list of ints >= 0: {g!r}")
+        vectors.add(tuple(g))
     if not vectors:
         raise FormatError("need at least one generator")
-    for g in vectors:
-        if len(g) != nvars or any(x < 0 for x in g):
-            raise FormatError(f"generator must be a length-{nvars} vector of ints >= 0: {g}")
     minimal = [
         g
         for g in vectors
@@ -241,10 +238,15 @@ def _parse_monomial(text: str, nvars: int) -> Tuple[int, ...]:
         match = _MONOMIAL_TERM_RE.fullmatch(factor.strip())
         if not match:
             raise FormatError(f"cannot parse monomial factor {factor!r}")
-        index = int(match.group(1))
+        try:
+            index, exponent = int(match.group(1)), int(match.group(2) or 1)
+        except ValueError:  # the interpreter's limit on integer string conversion
+            raise FormatError(
+                f"monomial factor has a number of more than {sys.get_int_max_str_digits()} digits"
+            ) from None
         if index >= nvars:
             raise FormatError(f"variable x{index} outside x0..x{nvars - 1}")
-        exponents[index] += int(match.group(2) or 1)
+        exponents[index] += exponent
     return tuple(exponents)
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -147,9 +148,10 @@ def test_verify_lemmas_runs_and_passes(capsys):
 
 
 def test_verify_lemmas_requires_seed(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify-lemmas", "--samples", "10"])
-    assert excinfo.value.code == 2
+    code, out, err = run(capsys, "verify-lemmas", "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: usage: the following arguments are required: --seed\n"
 
 
 def test_verify_lemmas_json_schema(capsys):
@@ -202,6 +204,33 @@ def test_monomial_betti_requires_one_source(capsys):
     assert code == 2
 
 
+def test_help_and_version_still_exit_0_on_stdout(capsys):
+    for argv in (["--version"], ["scan", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+
+def test_error_detail_with_a_line_break_stays_on_one_line(capsys):
+    code, _, err = run(capsys, "decompose", "no\nsuch.json")
+    assert code == 2
+    assert err.startswith("error: format: cannot read no such.json: ")
+    assert len(err.splitlines()) == 1
+    code, _, err = run(capsys, "pure", "--degrees", "0,1", "stray\rargument")
+    assert err == "error: usage: unrecognized arguments: stray argument\n"
+
+
+def test_json_nested_beyond_the_recursion_limit_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: format: invalid JSON: maximum recursion depth exceeded")
+
+
 def test_byte_identical_reruns(capsys):
     outputs = set()
     for _ in range(2):
@@ -239,3 +268,46 @@ def test_pure_json_has_no_row_limit(capsys):
     assert code == 0 and err == ""
     diagram = BettiDiagram.from_json(out)
     assert diagram == BettiDiagram({(0, 0): 1, (1, 99999999999999999999): 1})
+
+
+# CPython refuses to convert an integer of more than sys.get_int_max_str_digits()
+# digits to or from a decimal string; the CLI reports that as one error line
+BEYOND_THE_DIGIT_LIMIT = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "entry, detail",
+    [
+        ('{"i":1,"j":%s,"value":"1"}' % BEYOND_THE_DIGIT_LIMIT, "format: invalid JSON: "),
+        ('{"i":1,"j":2,"value":"%s"}' % BEYOND_THE_DIGIT_LIMIT, "format: rational literal has "),
+    ],
+    ids=["json-integer", "value-string"],
+)
+def test_diagram_file_beyond_the_digit_limit_is_a_format_error(tmp_path, capsys, entry, detail):
+    path = tmp_path / "long.json"
+    path.write_text('{"entries": [{"i":0,"j":0,"value":"1"},%s]}' % entry, encoding="utf-8")
+    code, out, err = run(capsys, "check-beh", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {detail}")
+
+
+def test_family_exponent_beyond_the_digit_limit_is_a_format_error(capsys):
+    code, out, err = run(capsys, "monomial-betti", "--family", f"vplusm(2,2,x0^{BEYOND_THE_DIGIT_LIMIT})")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: format: monomial factor has a number of more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+
+
+def test_output_beyond_the_digit_limit_is_a_domain_error(capsys):
+    argv = ["asymptotic", "--codim", "2000", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: domain: a value has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for printing an integer\n"
+    )

@@ -28,6 +28,9 @@ FILES = {
     '{"i":1,"j":3,"value":"63"},{"i":2,"j":3,"value":"90"},{"i":2,"j":4,"value":"114"},'
     '{"i":2,"j":5,"value":"9"},{"i":3,"j":5,"value":"50"},{"i":3,"j":6,"value":"12"}]}',
     "ideal": '{"nvars": 3, "generators": [[2,0,0],[1,1,0],[0,1,1],[0,0,3]]}',
+    # column 1 is empty below the projective dimension 2
+    "gap": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":2,"j":3,"value":"1"}]}',
+    "negative": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":1,"j":2,"value":"-1"}]}',
 }
 
 COMMANDS = [
@@ -59,6 +62,18 @@ COMMANDS = [
     "monomial-betti --family vplusm(3,2,x0^2,x0*x1)",
     "monomial-betti --family square-free-example(4) --format json",
     "monomial-betti {ideal}",
+    # one failing command per error kind the CLI can reach
+    "scan --s-max x --d-max 3 --mode shape-verify",
+    "verify-lemmas --samples 10",
+    "monomial-betti",
+    "pure --degrees 0,,2",
+    "monomial-betti --family nosuch(3)",
+    "check-pure --degrees 0,1,1",
+    "scan --s-max 9 --d-max 8 --mode find-violations",
+    "asymptotic --codim 2 --delta 1 --defect 0 --j 1 --t-max 0",
+    "check-beh {gap}",
+    "decompose {negative}",
+    "monomial-betti --family power-of-maximal(3,5)",
 ]
 
 

@@ -240,6 +240,24 @@ def test_table_rendering():
     assert BettiDiagram().table() == "(empty Betti diagram)"
 
 
+def test_table_is_limited_in_columns_too():
+    with pytest.raises(DomainError, match="would have 1000001 columns"):
+        BettiDiagram({(0, 0): 1, (10**6, 10**6): 1}).table()
+    with pytest.raises(DomainError, match="would have 100000000000000000001 columns"):
+        BettiDiagram({(0, 0): 1, (10**20, 10**20): 1}).table()
+    # exactly MAX_TABLE_ROWS columns, all in row 0, still print
+    lines = BettiDiagram({(0, 0): 1, (9999, 9999): 1}).table().splitlines()
+    assert len(lines) == 3
+    assert lines[0].split()[-1] == "9999"
+    assert lines[2].split()[:3] == ["0:", "1", "."]
+
+
+def test_json_reader_leaves_the_index_check_to_the_constructor():
+    for index in ("1.5", '"0"', "[0]", "{}", "null"):
+        with pytest.raises(FormatError, match="diagram key must be a pair of integers"):
+            BettiDiagram.from_json(f'{{"entries": [{{"i": {index}, "j": 0, "value": "1"}}]}}')
+
+
 def test_translate():
     diagram = BettiDiagram({(0, 1): 1, (1, 3): 2})
     shifted = diagram.translate(-1)

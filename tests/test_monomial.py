@@ -52,6 +52,16 @@ def test_minimalize_validation():
         minimalize(2, [(1, 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [(1.9, 0), (True, 0), ("3", 0), [0, None], "30", 3],
+    ids=["float", "bool", "string", "none", "string-vector", "int"],
+)
+def test_minimalize_refuses_entries_that_are_not_ints(generator):
+    with pytest.raises(FormatError):
+        minimalize(2, [(0, 1), generator])
+
+
 def test_taylor_betti_examples():
     assert taylor_betti(corpus("power-of-maximal(3,1)")) == koszul(3)
     assert taylor_betti(corpus("power-of-maximal(2,2)")) == BettiDiagram(
