@@ -90,13 +90,19 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
 
     The comparison itself is translation-invariant; for the shape hypothesis a
     diagram generated in positive degrees is first shifted so its top
-    generator sits in degree 0 (noted in the report).
+    generator sits in degree 0 (noted in the report).  A codim override above
+    the projective dimension is refused: codim M <= pd M over a polynomial
+    ring, so such a value describes no module.
     """
     if not diagram:
         raise DomainError("empty diagram")
     c = diagram.codimension() if codim is None else codim
     if c < 0:
         raise DomainError(f"codimension must be >= 0, got {c}")
+    if codim is not None and codim > diagram.projective_dimension():
+        raise DomainError(
+            f"codimension {codim} exceeds the projective dimension {diagram.projective_dimension()}"
+        )
     beta0 = diagram.total(0)
     per_j = tuple(
         ColumnCheck(j, diagram.total(j), beta0 * math.comb(c, j)) for j in range(c + 1)

@@ -209,7 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-beh", help="binomial rank bound on a diagram file")
     p.add_argument("file", help="diagram JSON file")
-    p.add_argument("--codim", type=int, default=None, help="override the computed codimension")
+    p.add_argument(
+        "--codim",
+        type=int,
+        default=None,
+        help="override the computed codimension, at most the projective dimension",
+    )
     _add_format(p)
     p.set_defaults(func=_cmd_check_beh)
 

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, format_rational, load_json, parse_rational, seq_leq
+from .diagram import (
+    BettiDiagram,
+    check_degree_sequence,
+    describe_rational,
+    format_rational,
+    load_json,
+    parse_rational,
+    seq_leq,
+)
 from .errors import DomainError, FormatError, GapColumnError, InvalidSequenceError, NotInConeError
 from .pure import herzog_kuhl
 
@@ -81,7 +89,9 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
             raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}") from exc
         coefficient = min(work[(i, d)] / pure[(i, d)] for i, d in enumerate(degrees))
         if coefficient <= 0:
-            raise NotInConeError(f"nonpositive coefficient {coefficient} at {degrees}")
+            raise NotInConeError(
+                f"nonpositive coefficient {describe_rational(coefficient)} at {degrees}"
+            )
         work = work - coefficient * pure
         if any(value < 0 for _, value in work.items()):
             raise NotInConeError(f"negative entry after subtracting {degrees}")

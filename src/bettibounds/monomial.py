@@ -291,9 +291,10 @@ def corpus(name: str) -> MonomialIdeal:
         if len(args) < 3:
             raise FormatError("vplusm needs at least one monomial argument")
         span = [_parse_monomial(text, n) for text in args[2:]]
-        for vector in span:
+        for text, vector in zip(args[2:], span):
             if sum(vector) != d:
-                raise FormatError(f"vplusm monomial {vector} is not of degree {d}")
+                # quotes the argument: the exponents may be too long to print
+                raise FormatError(f"vplusm monomial {text!r} is not of degree {d}")
         return minimalize(n, span + list(_degree_monomials(n, d + 1)))
     if family == "square-free-example":
         k = int_arg(0, 2)

@@ -7,15 +7,20 @@ forces every other entry through the Herzog-Kuhl product
     total_j = prod over i not in {0, j} of (d_i - d_0) / |d_i - d_j|.
 
 One integer kernel evaluates this product, as an unreduced pair of
-integers, for pure diagrams, for the comparisons of `beh.scan`, for column
-totals in gap coordinates e_i = d_i - d_{i-1} - 1 and for their logarithmic
-gradients: a rational gap vector is first cleared to integer positions, which
-leaves the totals unchanged.  In gap coordinates the column total is a
-rational function of e with no poles on the closed nonnegative orthant, which
-makes sign questions about its partial derivatives exact finite computations.
-The verify_* functions sample seeded rational points and check those signs,
-plus the binomial floor total_j >= C(s, j) on the region where the first gap
-dominates the rest.
+integers, for pure diagrams, for the comparisons of `beh.scan` and for column
+totals in gap coordinates e_i = d_i - d_{i-1} - 1: a rational gap vector is
+first cleared to integer positions, which leaves the totals unchanged.  A
+second integer kernel gives the logarithmic gradient at the same positions.
+In gap coordinates the column total is a rational function of e with no poles
+on the closed nonnegative orthant, which makes sign questions about its
+partial derivatives exact finite computations.  The verify_* functions sample
+seeded rational points and check those signs, plus the binomial floor
+total_j >= C(s, j) on the region where the first gap dominates the rest.
+Every sampled denominator divides 64, so each point is cleared to integer
+positions and every sign is decided on integers: the log gradient as integer
+numerators over one positive common denominator, the floor and its closed
+forms by cross-multiplying integer pairs.  Fractions are built only for the
+rows a sweep reports.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .diagram import BettiDiagram, check_degree_sequence, format_rational
 from .errors import DomainError
 
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
+_SAMPLE_SCALE = 64  # every sampled denominator divides it
 
 
 def hk_pair(p: Sequence[int], j: int) -> Tuple[int, int]:
@@ -102,13 +108,18 @@ def _as_gap_vector(e: Sequence) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in e)
 
 
-def _positions(e: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integer positions P_0 = 0, P_i = P_{i-1} + D*(1 + e_i), and the scale D."""
-    scale = math.lcm(*(x.denominator for x in e))
+def _gap_positions(scaled: Sequence[int], scale: int) -> List[int]:
+    """Positions P_0 = 0, P_i = P_{i-1} + scale + x_i of the gap vector x/scale."""
     p = [0]
-    for x in e:
-        p.append(p[-1] + scale + x.numerator * (scale // x.denominator))
-    return p, scale
+    for x in scaled:
+        p.append(p[-1] + scale + x)
+    return p
+
+
+def _positions(e: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer positions of the gap vector e, and the scale D."""
+    scale = math.lcm(*(x.denominator for x in e))
+    return _gap_positions([x.numerator * (scale // x.denominator) for x in e], scale), scale
 
 
 def _check_column(j: int, s: int):
@@ -125,30 +136,45 @@ def pure_total(j: int, e: Sequence) -> Fraction:
     return _hk_total(_positions(e)[0], j)
 
 
-def _log_gradient(j: int, e: Tuple[Fraction, ...]):
-    """Value of the column total and all its logarithmic partials.
+def _log_gradient(p: Sequence[int], j: int) -> Tuple[List[int], int]:
+    """Logarithmic gradient of the column-j total at integer positions p.
 
     A factor P_b - P_a of the kernel product equals D*(b - a + e_{a+1} + ... + e_b),
     so the k-th partial of log(total) is D times the sum of 1/(P_b - P_a) over
     the factors with a < k <= b, counted + in the numerator and - in the
-    denominator.
+    denominator.  Returned as integer numerators (G_1, ..., G_s) over one
+    positive common denominator L, the lcm of those factors:
+    d log(total)/de_k = D*G_k/L, so G_k carries the sign of the partial.
     """
-    p, scale = _positions(e)
-    value = _hk_total(p, j)
     s = len(p) - 1
-    pj = p[j]
-    # plus[k]: numerator factors containing e_k, P_i - P_0 with k <= i, i != j
-    plus = [Fraction(0)] * (s + 2)
+    p0, pj = p[0], p[j]
+    below, above = p[1:j], p[j + 1 :]
+    common = math.lcm(
+        *(pi - p0 for pi in below),
+        *(pi - p0 for pi in above),
+        *(pj - pi for pi in below),
+        *(pi - pj for pi in above),
+    )
+    if not common:
+        raise DomainError("a linear form vanishes at this point")
+    grad = [0] * s
+    # numerator factors containing e_k: P_i - P_0 with k <= i, i != j
+    acc = 0
     for i in range(s, 0, -1):
-        plus[i] = plus[i + 1] + (Fraction(1, p[i] - p[0]) if i != j else 0)
-    # minus[k]: denominator factors containing e_k, P_j - P_m with m < k <= j
-    # and P_i - P_j with j < k <= i
-    minus = [Fraction(0)] * (s + 2)
+        if i != j:
+            acc += common // (p[i] - p0)
+        grad[i - 1] = acc
+    # denominator factors containing e_k: P_j - P_m with m < k <= j ...
+    acc = 0
     for m in range(1, j):
-        minus[m + 1] = minus[m] + Fraction(1, pj - p[m])
+        acc += common // (pj - p[m])
+        grad[m] -= acc
+    # ... and P_i - P_j with j < k <= i
+    acc = 0
     for i in range(s, j, -1):
-        minus[i] = minus[i + 1] + Fraction(1, p[i] - pj)
-    return value, tuple(scale * (plus[k] - minus[k]) for k in range(1, s + 1))
+        acc += common // (p[i] - pj)
+        grad[i - 1] -= acc
+    return grad, common
 
 
 def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
@@ -156,8 +182,10 @@ def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
     e = _as_gap_vector(e)
     _check_column(j, len(e))
     _check_column(k, len(e))
-    value, grad = _log_gradient(j, e)
-    return value * grad[k - 1]
+    p, scale = _positions(e)
+    num, den = hk_pair(p, j)
+    grad, common = _log_gradient(p, j)
+    return Fraction(num * scale * grad[k - 1], den * common)
 
 
 def pure_total_split(j: int, s: int, t, e1) -> Fraction:
@@ -230,16 +258,35 @@ class VerifyReport:
         return f"{self.name}: {self.samples} samples, seed {self.seed}, s <= {self.s_max}: {status}"
 
 
-def _sample_coordinate(rng: random.Random, max_value: int = 10) -> Fraction:
+def _sample_coordinate(rng: random.Random, max_value: int = 10) -> int:
+    """One gap coordinate with a denominator dividing 64, returned times 64."""
     # zero with probability 1/8 so boundary points of the orthant get exercised
     if rng.random() < 0.125:
-        return Fraction(0)
+        return 0
     den = rng.choice(_SAMPLE_DENOMINATORS)
-    return Fraction(rng.randint(0, max_value * den), den)
+    return rng.randint(0, max_value * den) * (_SAMPLE_SCALE // den)
 
 
-def _sample_gap_vector(rng: random.Random, s: int, max_value: int = 10):
-    return tuple(_sample_coordinate(rng, max_value) for _ in range(s))
+def _sample_gap_vector(rng: random.Random, s: int, max_value: int = 10) -> List[int]:
+    return [_sample_coordinate(rng, max_value) for _ in range(s)]
+
+
+def _gap_vector(scaled: Sequence[int], scale: int = _SAMPLE_SCALE) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(x, scale) for x in scaled)
+
+
+def _gradient_violation(
+    scaled: Sequence[int], j: int, k: int, lead: Optional[int] = None
+) -> Violation:
+    """Report row at the gap vector scaled/64, with its exact value.
+
+    The value is d(total_j)/de_k, or (d/de_lead - d/de_k) total_j when lead is given.
+    """
+    e = _gap_vector(scaled)
+    value = pure_total_partial(j, k, e)
+    if lead is not None:
+        value = pure_total_partial(j, lead, e) - value
+    return Violation(e, j, k, value)
 
 
 def _check_sweep(s_max: int, samples: int):
@@ -256,12 +303,12 @@ def verify_first_gap_monotone(s_max: int, samples: int, seed: int) -> VerifyRepo
     violations = []
     for _ in range(samples):
         s = rng.randint(1, s_max)
-        e = _sample_gap_vector(rng, s)
+        x = _sample_gap_vector(rng, s)
+        p = _gap_positions(x, _SAMPLE_SCALE)
         for j in range(1, s + 1):
-            value, grad = _log_gradient(j, e)
-            derivative = value * grad[0]
-            if derivative < 0:
-                violations.append(Violation(e, j, 1, derivative))
+            grad, _ = _log_gradient(p, j)
+            if grad[0] < 0:
+                violations.append(_gradient_violation(x, j, 1))
     return VerifyReport("first-gap-monotonicity", samples, seed, s_max, tuple(violations))
 
 
@@ -276,17 +323,16 @@ def verify_inward_shift_monotone(s_max: int, samples: int, seed: int) -> VerifyR
     violations = []
     for _ in range(samples):
         s = rng.randint(1, s_max)
-        e = _sample_gap_vector(rng, s)
+        x = _sample_gap_vector(rng, s)
+        p = _gap_positions(x, _SAMPLE_SCALE)
         for j in range(1, s + 1):
-            value, grad = _log_gradient(j, e)
+            grad, _ = _log_gradient(p, j)
             for k in range(1, j):
-                combined = value * (grad[j - 1] - grad[k - 1])
-                if combined > 0:
-                    violations.append(Violation(e, j, k, combined))
+                if grad[j - 1] - grad[k - 1] > 0:
+                    violations.append(_gradient_violation(x, j, k, lead=j))
             for k in range(j + 2, s + 1):
-                combined = value * (grad[j] - grad[k - 1])
-                if combined > 0:
-                    violations.append(Violation(e, j, k, combined))
+                if grad[j] - grad[k - 1] > 0:
+                    violations.append(_gradient_violation(x, j, k, lead=j + 1))
     return VerifyReport("inward-shift-monotonicity", samples, seed, s_max, tuple(violations))
 
 
@@ -309,31 +355,34 @@ def verify_binomial_floor(s_max: int, samples: int, seed: int) -> VerifyReport:
     violations = []
     for _ in range(samples):
         s = rng.randint(1, s_max)
-        tail = tuple(_sample_coordinate(rng, 5) for _ in range(s - 1))
-        e1 = sum(tail, Fraction(0)) + _sample_coordinate(rng, 10)
-        e = (e1,) + tail
+        tail = _sample_gap_vector(rng, s - 1, 5)
+        x = sum(tail) + _sample_coordinate(rng, 10)  # 64 * e_1
+        scaled = [x] + tail
+        p = _gap_positions(scaled, _SAMPLE_SCALE)
         for j in range(1, s + 1):
-            value = pure_total(j, e)
-            if value < math.comb(s, j):
-                violations.append(Violation(e, j, None, value))
+            num, den = hk_pair(p, j)
+            if num < math.comb(s, j) * den:
+                violations.append(Violation(_gap_vector(scaled), j, None, Fraction(num, den)))
 
-        # closed-form checks at the reduced points
-        x = e1
-        reduced = (x,) + (Fraction(0),) * (s - 1)
-        first = pure_total(1, reduced)
-        expected_first = Fraction(1)
+        # closed-form checks at the reduced points, cross-multiplied
+        reduced = [x] + [0] * (s - 1)
+        num, den = hk_pair(_gap_positions(reduced, _SAMPLE_SCALE), 1)
+        expected_num, expected_den = 1, _SAMPLE_SCALE ** (s - 1) * math.factorial(s - 1)
         for i in range(2, s + 1):
-            expected_first *= i + x
-        expected_first /= math.factorial(s - 1)
-        if first != expected_first or first < s:
-            violations.append(Violation(reduced, 1, None, first))
+            expected_num *= _SAMPLE_SCALE * i + x
+        if num * expected_den != expected_num * den or num < s * den:
+            violations.append(Violation(_gap_vector(reduced), 1, None, Fraction(num, den)))
         if s >= 2:
-            y = x * Fraction(rng.randint(0, 64), 64)
-            boundary = (x,) + (Fraction(0),) * (s - 2) + (y,)
-            last = pure_total(s, boundary)
-            expected_last = Fraction(1)
+            # y = e_1 * c/64 = x*c / 64^2, so this point is cleared at scale 64^2
+            c = rng.randint(0, 64)
+            scale = _SAMPLE_SCALE * _SAMPLE_SCALE
+            boundary = [_SAMPLE_SCALE * x] + [0] * (s - 2) + [x * c]
+            num, den = hk_pair(_gap_positions(boundary, scale), s)
+            expected_num = expected_den = 1
             for i in range(1, s):
-                expected_last *= Fraction(i + x) / (i + y)
-            if last != expected_last or last < 1:
-                violations.append(Violation(boundary, s, None, last))
+                expected_num *= scale * i + _SAMPLE_SCALE * x
+                expected_den *= scale * i + x * c
+            if num * expected_den != expected_num * den or num < den:
+                last = Fraction(num, den)
+                violations.append(Violation(_gap_vector(boundary, scale), s, None, last))
     return VerifyReport("binomial-floor", samples, seed, s_max, tuple(violations))

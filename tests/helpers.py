@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's own code paths: pure
 diagrams are solved from their defining linear equations, diagram statistics
 are recomputed from dense tables, monomial Betti numbers come from upper
 Koszul complexes and from a Taylor complex over generator subsets, both with
-this module's own rank, and derivatives are approximated by central
-differences in exact rational arithmetic.
+this module's own rank, and partial derivatives of column totals come from
+the product and quotient rules over the linear forms of the product.
 """
 
 from __future__ import annotations
@@ -45,6 +45,33 @@ def hk_equation_solve(degrees):
         acc = rows[r][s] - sum((rows[r][c] * xs[c] for c in range(r + 1, s)), Fraction(0))
         xs[r] = acc / rows[r][r]
     return (Fraction(1),) + tuple(xs)
+
+
+def column_total_partial(j, k, e):
+    """d(total_j)/de_k of the normalized pure diagram with gap vector e.
+
+    Each factor of the Herzog-Kuhl product is a linear form d_b - d_a, with
+    d_i = i + e_1 + ... + e_i, whose e_k-derivative is 1 when a < k <= b and 0
+    otherwise; the product and quotient rules then give the derivative exactly.
+    """
+    d = [Fraction(0)]
+    for x in e:
+        d.append(d[-1] + 1 + Fraction(x))
+    s = len(e)
+    numerator_forms = [(0, i) for i in range(1, s + 1) if i != j]
+    denominator_forms = [(i, j) for i in range(1, j)] + [(j, i) for i in range(j + 1, s + 1)]
+
+    def product_and_derivative(forms):
+        value, derivative = Fraction(1), Fraction(0)
+        for a, b in forms:
+            form = d[b] - d[a]
+            derivative = derivative * form + (value if a < k <= b else 0)
+            value *= form
+        return value, derivative
+
+    n, dn = product_and_derivative(numerator_forms)
+    m, dm = product_and_derivative(denominator_forms)
+    return (dn * m - n * dm) / (m * m)
 
 
 def dense_scan(diagram):

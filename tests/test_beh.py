@@ -53,6 +53,13 @@ def test_beh_check_generic_2x3():
     assert beh_check(diagram).codim == 2
 
 
+def test_beh_check_refuses_a_codimension_above_the_projective_dimension():
+    diagram = BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1})
+    assert beh_check(diagram, codim=2).codim == 2
+    with pytest.raises(DomainError, match="exceeds the projective dimension 2"):
+        beh_check(diagram, codim=3)
+
+
 def test_beh_check_socle_quotient_passes():
     diagram = BettiDiagram({(0, 0): 1, (1, 2): 3, (2, 3): 2})
     report = beh_check(diagram, codim=2)

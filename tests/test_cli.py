@@ -311,3 +311,23 @@ def test_output_beyond_the_digit_limit_is_a_domain_error(capsys):
         f"error: domain: a value has more than {sys.get_int_max_str_digits()} digits, "
         "the interpreter's limit for printing an integer\n"
     )
+
+
+def test_vplusm_monomial_of_the_wrong_degree_is_quoted_not_computed(capsys):
+    # the summed exponent has more digits than the interpreter will print
+    nines = "9" * sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "monomial-betti", "--family", f"vplusm(2,2,x0^{nines}*x0^{nines})")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: format: vplusm monomial 'x0^999")
+    assert err.endswith("' is not of degree 2\n")
+
+
+def test_check_beh_codim_above_the_projective_dimension_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "quotient.json"
+    path.write_text(QUOTIENT_X2_XY, encoding="utf-8")
+    code, out, err = run(capsys, "check-beh", str(path), "--codim", "100000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: domain: codimension 100000000 exceeds the projective dimension 2\n"

@@ -19,8 +19,9 @@ from bettibounds import (
     verify_inward_shift_monotone,
 )
 from bettibounds.errors import InvalidSequenceError
+from bettibounds.pure import _gradient_violation, _log_gradient, hk_pair
 
-from helpers import hk_equation_solve
+from helpers import column_total_partial, hk_equation_solve
 
 
 def all_sequences(s_values, d_max, d0=0):
@@ -208,6 +209,66 @@ def test_partial_matches_central_differences():
         else:
             ratio = errors[0] / errors[1]
             assert Fraction(7, 2) <= ratio <= Fraction(9, 2)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _grid_point(rng, s, max_value):
+    """A gap vector on the samplers' grid, as integers over 64, zero coordinates included."""
+    return [0 if rng.random() < 0.125 else rng.randint(0, max_value * 64) for _ in range(s)]
+
+
+def _positions_over_64(scaled):
+    p = [0]
+    for x in scaled:
+        p.append(p[-1] + 64 + x)
+    return p
+
+
+def test_integer_signs_match_the_product_rule_oracle():
+    # every sign the three samplers decide on integers, against an exact
+    # derivative (or, for the floor, an exact total) computed without the kernel
+    rng = random.Random(2024)
+    for _ in range(120):
+        s = rng.randint(1, 8)
+        scaled = _grid_point(rng, s, 10)
+        p = _positions_over_64(scaled)
+        e = tuple(Fraction(x, 64) for x in scaled)
+        for j in range(1, s + 1):
+            grad, common = _log_gradient(p, j)
+            assert common > 0
+            partials = [column_total_partial(j, k, e) for k in range(1, s + 1)]
+            assert _sign(grad[0]) == _sign(partials[0])
+            for k in range(1, j):
+                assert _sign(grad[j - 1] - grad[k - 1]) == _sign(partials[j - 1] - partials[k - 1])
+            for k in range(j + 2, s + 1):
+                assert _sign(grad[j] - grad[k - 1]) == _sign(partials[j] - partials[k - 1])
+
+        tail = _grid_point(rng, s - 1, 5)
+        scaled = [sum(tail) + _grid_point(rng, 1, 10)[0]] + tail
+        p = _positions_over_64(scaled)
+        totals = hk_equation_solve(p)
+        for j in range(1, s + 1):
+            num, den = hk_pair(p, j)
+            floor = math.comb(s, j)
+            assert _sign(num - floor * den) == _sign(totals[j] - floor)
+
+
+def test_reported_gradient_value_is_the_exact_combination_of_partials():
+    scaled = [40, 0, 3 * 64, 5, 64 * 7 + 32]  # e = (5/8, 0, 3, 5/64, 15/2)
+    e = tuple(Fraction(x, 64) for x in scaled)
+    first = _gradient_violation(scaled, 2, 1)
+    assert (first.e, first.j, first.k) == (e, 2, 1)
+    assert first.value == pure_total_partial(2, 1, e) == column_total_partial(2, 1, e)
+    for j, k, lead in [(3, 1, 3), (3, 2, 3), (2, 4, 3), (1, 5, 2)]:
+        row = _gradient_violation(scaled, j, k, lead)
+        assert (row.e, row.j, row.k) == (e, j, k)
+        assert row.value == pure_total_partial(j, lead, e) - pure_total_partial(j, k, e)
+        assert row.value == column_total_partial(j, lead, e) - column_total_partial(j, k, e)
+        assert row.value < 0
+    assert first.to_json_dict()["e"] == ["5/8", "0", "3", "5/64", "15/2"]
 
 
 # -- the constrained split form --------------------------------------------------------
