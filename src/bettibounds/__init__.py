@@ -41,7 +41,7 @@ from .errors import (
     NotInConeError,
     TooManyGeneratorsError,
 )
-from .monomial import MonomialIdeal, corpus, minimalize, subset_numerator, taylor_betti
+from .monomial import MonomialIdeal, corpus, minimalize, taylor_betti
 from .poly import Poly
 from .pure import (
     herzog_kuhl,
@@ -49,7 +49,6 @@ from .pure import (
     pure_shape_check,
     pure_total,
     pure_total_partial,
-    pure_total_split,
     verify_binomial_floor,
     verify_first_gap_monotone,
     verify_inward_shift_monotone,
@@ -89,12 +88,10 @@ __all__ = [
     "pure_shape_check",
     "pure_total",
     "pure_total_partial",
-    "pure_total_split",
     "recompose",
     "scan",
     "seq_leq",
     "shape_hypothesis",
-    "subset_numerator",
     "taylor_betti",
     "validate_bounds",
     "verify_binomial_floor",

@@ -4,8 +4,9 @@ Any diagram of a graded module is a positive rational combination of
 normalized pure diagrams whose degree sequences form a chain.  The greedy
 loop below constructs one: read off the minimal degree of each column,
 subtract the largest multiple of that pure diagram that keeps all entries
-nonnegative (it zeroes at least one entry), and repeat.  Inputs outside the
-reach of this procedure raise NotInConeError.
+nonnegative, and repeat.  Each step zeroes at least one entry and creates
+none, so the loop ends within as many steps as the diagram has entries.
+Inputs outside the reach of this procedure raise NotInConeError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Tuple
 from .diagram import (
     BettiDiagram,
     check_degree_sequence,
-    describe_rational,
     format_rational,
     load_json,
     parse_rational,
@@ -75,10 +75,7 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
         raise NotInConeError("diagram has a negative entry")
     work = diagram
     terms = []
-    max_steps = len(diagram)
     while work:
-        if len(terms) == max_steps:
-            raise NotInConeError("greedy did not terminate within the entry count")
         try:
             degrees = work.min_degrees()
         except GapColumnError as exc:
@@ -87,14 +84,11 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
             pure = herzog_kuhl(degrees)
         except InvalidSequenceError as exc:
             raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}") from exc
+        # pure lives on the entries (i, d_i) of work, positive on both sides, so
+        # the coefficient is positive, no entry turns negative or appears, and
+        # the argmin is zeroed and pruned: the support shrinks every step.
         coefficient = min(work[(i, d)] / pure[(i, d)] for i, d in enumerate(degrees))
-        if coefficient <= 0:
-            raise NotInConeError(
-                f"nonpositive coefficient {describe_rational(coefficient)} at {degrees}"
-            )
         work = work - coefficient * pure
-        if any(value < 0 for _, value in work.items()):
-            raise NotInConeError(f"negative entry after subtracting {degrees}")
         terms.append((coefficient, degrees))
     return Decomposition(tuple(terms))
 

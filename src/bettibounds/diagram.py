@@ -62,16 +62,6 @@ def format_rational(value) -> str:
         ) from None
 
 
-def describe_rational(value) -> str:
-    """format_rational for error details: a value too long to print is named by its size."""
-    value = Fraction(value)
-    try:
-        return format_rational(value)
-    except DomainError:
-        top, bottom = value.numerator.bit_length(), value.denominator.bit_length()
-        return f"<{top}-bit / {bottom}-bit rational>"
-
-
 def load_json(text: str):
     """Decode JSON text, reporting malformed input as a FormatError."""
     try:

@@ -20,17 +20,25 @@ rational elimination.  Characteristic zero throughout.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence, Tuple
 
 from .diagram import BettiDiagram, load_json
 from .errors import FormatError, TooManyGeneratorsError
-from .poly import Poly
 
 MAX_GENERATORS = 20
+
+
+def _check_generator_count(count: int, lower_bound: bool = False) -> None:
+    """Refuse more than MAX_GENERATORS generators; a lower bound is not printed."""
+    if count > MAX_GENERATORS:
+        shown = f"more than {MAX_GENERATORS}" if lower_bound else count
+        raise TooManyGeneratorsError(f"{shown} generators exceeds the guard of {MAX_GENERATORS}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,6 @@ def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _grlex_key(exponents: Sequence[int]):
-    return (sum(exponents), tuple(exponents))
-
-
 def minimalize(nvars: int, generators: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Drop generators divisible by another; order the rest graded-lex.
 
@@ -86,11 +90,7 @@ def minimalize(nvars: int, generators: Iterable[Sequence[int]]) -> MonomialIdeal
         for g in vectors
         if not any(other != g and _divides(other, g) for other in vectors)
     ]
-    return MonomialIdeal(nvars, tuple(sorted(minimal, key=_grlex_key)))
-
-
-def _lcm(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return MonomialIdeal(nvars, tuple(sorted(minimal, key=lambda g: (sum(g), g))))
 
 
 def _rational_rank(rows) -> int:
@@ -172,13 +172,12 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     """Betti diagram of the quotient by a monomial ideal (characteristic zero)."""
     gens = ideal.generators
     r = len(gens)
-    if r > MAX_GENERATORS:
-        raise TooManyGeneratorsError(f"{r} generators exceeds the guard of {MAX_GENERATORS}")
+    _check_generator_count(r)
     lcm_of = [(0,) * ideal.nvars]
     strands: dict[tuple, list[int]] = {lcm_of[0]: [0]}
     for mask in range(1, 1 << r):
         low = mask & -mask
-        multidegree = _lcm(lcm_of[mask ^ low], gens[low.bit_length() - 1])
+        multidegree = tuple(map(max, lcm_of[mask ^ low], gens[low.bit_length() - 1]))
         lcm_of.append(multidegree)
         strands.setdefault(multidegree, []).append(mask)
 
@@ -203,37 +202,15 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     return BettiDiagram(betti)
 
 
-def subset_numerator(ideal: MonomialIdeal) -> Poly:
-    """Inclusion-exclusion Hilbert numerator: sum of (-1)^|S| t^(deg lcm S).
-
-    Independent of the homology computation; must agree with the alternating
-    sum over the Taylor Betti diagram.
-    """
-    gens = ideal.generators
-    r = len(gens)
-    if r > MAX_GENERATORS:
-        raise TooManyGeneratorsError(f"{r} generators exceeds the guard of {MAX_GENERATORS}")
-    terms: dict[int, int] = {}
-    lcm_of = {0: (0,) * ideal.nvars}
-    for mask in range(1 << r):
-        if mask:
-            low = mask & -mask
-            lcm_of[mask] = _lcm(lcm_of[mask ^ low], gens[low.bit_length() - 1])
-        degree = sum(lcm_of[mask])
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        terms[degree] = terms.get(degree, 0) + sign
-    return Poly(terms)
-
-
 # -- named parametric families ---------------------------------------------------
 
 _FAMILY_RE = re.compile(r"\s*([a-z-]+)\s*\(([^)]*)\)\s*\Z")
 _MONOMIAL_TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 
 
-def _parse_monomial(text: str, nvars: int) -> Tuple[int, ...]:
-    """Parse "x0^2*x1" into an exponent vector."""
-    exponents = [0] * nvars
+def _parse_monomial(text: str, nvars: int) -> dict[int, int]:
+    """Parse "x0^2*x1" into {variable index: exponent}, sparse so that nvars may be vast."""
+    exponents: dict[int, int] = {}
     for factor in text.split("*"):
         match = _MONOMIAL_TERM_RE.fullmatch(factor.strip())
         if not match:
@@ -246,18 +223,16 @@ def _parse_monomial(text: str, nvars: int) -> Tuple[int, ...]:
             ) from None
         if index >= nvars:
             raise FormatError(f"variable x{index} outside x0..x{nvars - 1}")
-        exponents[index] += exponent
-    return tuple(exponents)
+        exponents[index] = exponents.get(index, 0) + exponent
+    return exponents
 
 
-def _degree_monomials(nvars: int, degree: int):
-    """All exponent vectors of the given total degree, lexicographic."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _degree_monomials(nvars - 1, degree - first):
-            yield (first,) + rest
+def _degree_monomials(nvars: int, degree: int) -> list:
+    """All exponent vectors of the given total degree."""
+    if nvars == 1:  # the only one, whose degree may be too large to spell out
+        return [(degree,)]
+    combos = combinations_with_replacement(range(nvars), degree)
+    return [tuple(combo.count(v) for v in range(nvars)) for combo in combos]
 
 
 def corpus(name: str) -> MonomialIdeal:
@@ -267,6 +242,9 @@ def corpus(name: str) -> MonomialIdeal:
     * vplusm(n, d, m1, m2, ...): the listed degree-d monomials together with
       every monomial of degree d + 1, minimalized.
     * square-free-example(k): all products of two distinct variables among k.
+
+    More than MAX_GENERATORS minimal generators are refused before they are
+    built, first by a lower bound, so the count is taken on bounded arguments.
     """
     match = _FAMILY_RE.fullmatch(name)
     if not match:
@@ -285,24 +263,32 @@ def corpus(name: str) -> MonomialIdeal:
 
     if family == "power-of-maximal":
         n, d = int_arg(0, 1), int_arg(1, 1)
+        if n > 1:  # C(n+d-1, d) generators, at least max(n, d + 1)
+            _check_generator_count(max(n, d + 1), lower_bound=True)
+            _check_generator_count(math.comb(n + d - 1, d))
         return minimalize(n, _degree_monomials(n, d))
     if family == "vplusm":
         n, d = int_arg(0, 1), int_arg(1, 1)
         if len(args) < 3:
             raise FormatError("vplusm needs at least one monomial argument")
-        span = [_parse_monomial(text, n) for text in args[2:]]
-        for text, vector in zip(args[2:], span):
-            if sum(vector) != d:
+        parsed = [_parse_monomial(text, n) for text in args[2:]]
+        for text, exponents in zip(args[2:], parsed):
+            if sum(exponents.values()) != d:
                 # quotes the argument: the exponents may be too long to print
                 raise FormatError(f"vplusm monomial {text!r} is not of degree {d}")
-        return minimalize(n, span + list(_degree_monomials(n, d + 1)))
+        # Generators: the L listed monomials, and the degree-(d+1) monomials that are
+        # no listed m times x_i.  For each i, x_i^d or x_i^(d+1) is one; a listed m
+        # divides at most two x0^a*x1^(d+1-a).  So n > 1 gives at least n and (d+2)/2.
+        if n > 1:
+            _check_generator_count(max(n, (d + 3) // 2), lower_bound=True)
+        span = {tuple(m.get(v, 0) for v in range(n)) for m in parsed}
+        covered = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in span for i in range(n)}
+        _check_generator_count(len(span) + math.comb(n + d, d + 1) - len(covered))
+        return minimalize(n, list(span) + _degree_monomials(n, d + 1))
     if family == "square-free-example":
         k = int_arg(0, 2)
-        gens = []
-        for a in range(k):
-            for b in range(a + 1, k):
-                vector = [0] * k
-                vector[a] = vector[b] = 1
-                gens.append(tuple(vector))
-        return minimalize(k, gens)
+        _check_generator_count(k - 1, lower_bound=True)
+        _check_generator_count(math.comb(k, 2))
+        pairs = combinations(range(k), 2)
+        return minimalize(k, [tuple(int(v in pair) for v in range(k)) for pair in pairs])
     raise FormatError(f"unknown family {family!r}")

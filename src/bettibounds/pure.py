@@ -145,6 +145,7 @@ def _log_gradient(p: Sequence[int], j: int) -> Tuple[List[int], int]:
     denominator.  Returned as integer numerators (G_1, ..., G_s) over one
     positive common denominator L, the lcm of those factors:
     d log(total)/de_k = D*G_k/L, so G_k carries the sign of the partial.
+    No factor vanishes: they are those of `hk_pair`, at positions it accepts.
     """
     s = len(p) - 1
     p0, pj = p[0], p[j]
@@ -155,8 +156,6 @@ def _log_gradient(p: Sequence[int], j: int) -> Tuple[List[int], int]:
         *(pj - pi for pi in below),
         *(pi - pj for pi in above),
     )
-    if not common:
-        raise DomainError("a linear form vanishes at this point")
     grad = [0] * s
     # numerator factors containing e_k: P_i - P_0 with k <= i, i != j
     acc = 0
@@ -186,32 +185,6 @@ def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
     num, den = hk_pair(p, j)
     grad, common = _log_gradient(p, j)
     return Fraction(num * scale * grad[k - 1], den * common)
-
-
-def pure_total_split(j: int, s: int, t, e1) -> Fraction:
-    """Column-j total on the slice e = e1*u_1 + t*e1*u_j + (1-t)*e1*u_{j+1}.
-
-    Closed product form used for the interior columns 1 < j < s:
-
-        [(1+e1)...(j-1+e1) * (j+1+2e1)...(s+2e1)]
-        / [(j-1+t*e1)...(1+t*e1) * (1+(1-t)*e1)...((s-j)+(1-t)*e1)]
-    """
-    t = Fraction(t)
-    e1 = Fraction(e1)
-    if not 1 < j < s:
-        raise IndexError(f"need 1 < j < s, got j={j}, s={s}")
-    if not 0 <= t <= 1 or e1 < 0:
-        raise DomainError(f"need 0 <= t <= 1 and e1 >= 0, got t={t}, e1={e1}")
-    value = Fraction(1)
-    for i in range(1, j):
-        value *= i + e1
-    for i in range(j + 1, s + 1):
-        value *= i + 2 * e1
-    for i in range(1, j):
-        value /= i + t * e1
-    for i in range(1, s - j + 1):
-        value /= i + (1 - t) * e1
-    return value
 
 
 # -- seeded verification sweeps ---------------------------------------------------

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the library's own code paths: pure
 diagrams are solved from their defining linear equations, diagram statistics
 are recomputed from dense tables, monomial Betti numbers come from upper
 Koszul complexes and from a Taylor complex over generator subsets, both with
-this module's own rank, and partial derivatives of column totals come from
-the product and quotient rules over the linear forms of the product.
+this module's own rank, Hilbert numerators come from inclusion-exclusion over
+generator subsets, partial derivatives of column totals come from the product
+and quotient rules over the linear forms of the product, and interior column
+totals on a two-parameter slice come from their closed product form.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from bettibounds import BettiDiagram, herzog_kuhl, koszul, minimalize, corpus, taylor_betti
+from bettibounds import BettiDiagram, Poly, herzog_kuhl, koszul, minimalize, corpus, taylor_betti
 
 
 def hk_equation_solve(degrees):
@@ -72,6 +74,25 @@ def column_total_partial(j, k, e):
     n, dn = product_and_derivative(numerator_forms)
     m, dm = product_and_derivative(denominator_forms)
     return (dn * m - n * dm) / (m * m)
+
+
+def pure_total_split(j, s, t, e1):
+    """Column-j total, 1 < j < s, on the slice e = e1*u_1 + t*e1*u_j + (1-t)*e1*u_{j+1}.
+
+    Closed product form for 0 <= t <= 1 and e1 >= 0:
+
+        [(1+e1)...(j-1+e1) * (j+1+2e1)...(s+2e1)]
+        / [(j-1+t*e1)...(1+t*e1) * (1+(1-t)*e1)...((s-j)+(1-t)*e1)]
+    """
+    t, e1 = Fraction(t), Fraction(e1)
+    value = Fraction(1)
+    for i in range(1, j):
+        value *= (i + e1) / (i + t * e1)
+    for i in range(j + 1, s + 1):
+        value *= i + 2 * e1
+    for i in range(1, s - j + 1):
+        value /= i + (1 - t) * e1
+    return value
 
 
 def dense_scan(diagram):
@@ -245,6 +266,22 @@ def taylor_oracle_betti(ideal):
                 key = (size, sum(m))
                 betti[key] = betti.get(key, 0) + homology
     return betti
+
+
+def subset_numerator(ideal):
+    """Hilbert numerator of S/I by inclusion-exclusion: sum of (-1)^|A| t^(deg lcm A).
+
+    A runs over all 2^r subsets of the r generators, so r is held to at most 20.
+    """
+    gens = [tuple(g) for g in ideal.generators]
+    if len(gens) > 20:
+        raise ValueError(f"{len(gens)} generators: 2^r subsets is too many")
+    terms = {}
+    for size in range(len(gens) + 1):
+        for subset in combinations(gens, size):
+            degree = sum(max((g[v] for g in subset), default=0) for v in range(ideal.nvars))
+            terms[degree] = terms.get(degree, 0) + (-1) ** size
+    return Poly(terms)
 
 
 def random_monomial_ideal(rng: random.Random, max_vars=4, max_gens=8, max_exponent=3):

@@ -29,7 +29,6 @@ from bettibounds import (
     pure_total,
     recompose,
     shape_hypothesis,
-    subset_numerator,
     taylor_betti,
     validate_bounds,
     MonomialIdeal,
@@ -37,7 +36,7 @@ from bettibounds import (
 )
 from bettibounds.cli import main
 
-from helpers import corpus_diagrams, monomial_corpus, random_pure_combination
+from helpers import corpus_diagrams, monomial_corpus, random_pure_combination, subset_numerator
 
 
 def criterion(number, name, budget_seconds):

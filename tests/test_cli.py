@@ -196,6 +196,23 @@ def test_monomial_betti_family_and_file(tmp_path, capsys):
     assert BettiDiagram.from_json(out) == BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        "power-of-maximal(2000,1)",
+        "vplusm(1500,1,x0)",
+        "power-of-maximal(3,400)",
+        "square-free-example(3000)",
+        pytest.param("power-of-maximal({n},{n})".format(n="9" * 4000), id="power-of-maximal(N,N)"),
+    ],
+)
+def test_oversized_family_is_refused_before_it_is_built(capsys, family):
+    code, out, err = run(capsys, "monomial-betti", "--family", family)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: too-many-generators: ")
+
+
 def test_monomial_betti_requires_one_source(capsys):
     code, _, err = run(capsys, "monomial-betti")
     assert code == 2

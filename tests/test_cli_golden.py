@@ -74,6 +74,7 @@ COMMANDS = [
     "check-beh {gap}",
     "decompose {negative}",
     "monomial-betti --family power-of-maximal(3,5)",
+    "monomial-betti --family power-of-maximal(2000,1)",
 ]
 
 

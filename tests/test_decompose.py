@@ -18,7 +18,12 @@ from bettibounds import (
     validate_bounds,
 )
 
-from helpers import WEAK_MAX_DEGREE_IDEAL, corpus_diagrams, random_pure_combination
+from helpers import (
+    WEAK_MAX_DEGREE_IDEAL,
+    corpus_diagrams,
+    random_pure_combination,
+    random_sparse_diagram,
+)
 
 
 def chain_on_shared_prefix(terms):
@@ -80,7 +85,34 @@ def test_recompose_inverts_on_random_combinations():
         assert recompose(decomposition) == diagram
         assert all(coefficient > 0 for coefficient, _ in decomposition)
         assert chain_on_shared_prefix(decomposition.terms)
+        assert len(decomposition) <= len(diagram)
         assert validate_bounds(decomposition, diagram).passed
+
+
+def test_random_sparse_diagrams_decompose_or_meet_a_named_obstruction():
+    # greedy zeroes an entry per step, so a decomposition has at most one term
+    # per entry; otherwise it stops at an obstruction the input itself shows
+    causes = (
+        "diagram has a negative entry",
+        "interior zero column",
+        "minimal degrees not strictly increasing",
+    )
+    rng = random.Random(11)
+    outcomes = {"decomposed": 0, **{cause: 0 for cause in causes}}
+    for _ in range(400):
+        diagram = random_sparse_diagram(rng, max_i=rng.randint(1, 5), entries=rng.randint(1, 8))
+        try:
+            decomposition = decompose(diagram)
+        except NotInConeError as exc:
+            cause = next(c for c in causes if str(exc).startswith(c))
+            outcomes[cause] += 1
+            continue
+        outcomes["decomposed"] += 1
+        assert recompose(decomposition) == diagram
+        assert all(coefficient > 0 for coefficient, _ in decomposition)
+        assert len(decomposition) <= len(diagram)
+    assert outcomes["decomposed"] and outcomes["interior zero column"]
+    assert outcomes["minimal degrees not strictly increasing"]
 
 
 def test_empty_and_invalid_inputs():

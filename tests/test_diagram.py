@@ -20,7 +20,6 @@ from bettibounds import (
     parse_rational,
     seq_leq,
 )
-from bettibounds.diagram import describe_rational
 
 from helpers import dense_scan, random_sparse_diagram
 
@@ -38,14 +37,6 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)
-
-
-def test_describe_rational_names_an_unprintable_value_by_its_size():
-    assert describe_rational(Fraction(-6, 4)) == "-3/2"
-    huge = Fraction(-(10**5000), 3)
-    with pytest.raises(DomainError):
-        format_rational(huge)
-    assert describe_rational(huge) == "<16610-bit / 2-bit rational>"
 
 
 def test_format_rational_lowest_terms():

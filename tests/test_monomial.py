@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -17,7 +17,6 @@ from bettibounds import (
     koszul,
     minimalize,
     shape_hypothesis,
-    subset_numerator,
     taylor_betti,
     validate_bounds,
 )
@@ -27,6 +26,7 @@ from helpers import (
     monomial_corpus,
     random_equigenerated_ideal,
     random_monomial_ideal,
+    subset_numerator,
     taylor_oracle_betti,
     upper_koszul_betti,
 )
@@ -86,6 +86,44 @@ def test_corpus_families():
         (1, 0, 1),
         (0, 1, 1),
     }
+
+
+def test_corpus_refuses_exactly_the_families_beyond_the_guard():
+    # each family rebuilt here by brute force: every degree-d monomial, or the
+    # listed ones plus the degree-(d+1) monomials none of them divides
+    rng = random.Random(8)
+
+    def monomials(n, d):
+        return [tuple(c.count(v) for v in range(n)) for c in combinations_with_replacement(range(n), d)]
+
+    families = []
+    for n in range(1, 5):
+        for d in range(1, 7):
+            families.append((f"power-of-maximal({n},{d})", set(monomials(n, d))))
+            for _ in range(3):
+                listed = rng.sample(monomials(n, d), rng.randint(1, min(6, len(monomials(n, d)))))
+                text = ",".join("*".join(f"x{v}^{e}" for v, e in enumerate(m) if e) for m in listed)
+                rest = [
+                    m
+                    for m in monomials(n, d + 1)
+                    if not any(all(a <= b for a, b in zip(g, m)) for g in listed)
+                ]
+                families.append((f"vplusm({n},{d},{text})", set(listed + rest)))
+    for k in range(2, 9):
+        families.append((f"square-free-example({k})", {m for m in monomials(k, 2) if max(m) == 1}))
+    refused = 0
+    for name, gens in families:
+        if len(gens) <= 20:
+            assert set(corpus(name).generators) == gens, name
+            continue
+        refused += 1
+        with pytest.raises(TooManyGeneratorsError) as excinfo:
+            corpus(name)
+        assert str(excinfo.value) in (
+            f"{len(gens)} generators exceeds the guard of 20",
+            "more than 20 generators exceeds the guard of 20",
+        ), name
+    assert 0 < refused < len(families)
 
 
 def test_corpus_unknown_names():

@@ -13,7 +13,6 @@ from bettibounds import (
     pure_shape_check,
     pure_total,
     pure_total_partial,
-    pure_total_split,
     verify_binomial_floor,
     verify_first_gap_monotone,
     verify_inward_shift_monotone,
@@ -21,7 +20,7 @@ from bettibounds import (
 from bettibounds.errors import InvalidSequenceError
 from bettibounds.pure import _gradient_violation, _log_gradient, hk_pair
 
-from helpers import column_total_partial, hk_equation_solve
+from helpers import column_total_partial, hk_equation_solve, pure_total_split
 
 
 def all_sequences(s_values, d_max, d0=0):
@@ -295,15 +294,6 @@ def test_split_form_matches_substituted_point():
                 e[j] += (1 - t) * e1
                 assert pure_total_split(j, s, t, e1) == pure_total(j, tuple(e))
                 assert pure_total_split(j, s, t, e1) >= math.comb(s, j)
-
-
-def test_split_form_domain():
-    with pytest.raises(IndexError):
-        pure_total_split(1, 4, 0, 1)
-    with pytest.raises(DomainError):
-        pure_total_split(2, 4, 2, 1)
-    with pytest.raises(DomainError):
-        pure_total_split(2, 4, Fraction(1, 2), -1)
 
 
 # -- secant restatements of the derivative signs ------------------------------------------
