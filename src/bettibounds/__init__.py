@@ -12,7 +12,6 @@ from .asymptotic import (
     PowerBoundParams,
     bound_vs_pure,
     exact_lower_bound,
-    exact_lower_bound_poly,
     leading_bound,
     leading_coefficient,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "corpus",
     "decompose",
     "exact_lower_bound",
-    "exact_lower_bound_poly",
     "format_rational",
     "from_gaps",
     "gaps",

@@ -9,8 +9,8 @@ product bound in t whose leading term is
 
     (b!)^2 * delta^(c-1) / ((j-1+b)! * (c-j+b)!) * t^(c-1).
 
-Everything here is exact: the bound is exposed both as a rational value at a
-given power t and as a polynomial in t.
+Everything here is exact: the bound is exposed as a rational value at a given
+power t.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import DomainError
-from .poly import Poly
 from .pure import pure_total
 
 
@@ -51,16 +50,16 @@ class PowerBoundParams:
             raise DomainError(f"t must be >= 1, got {self.t}")
 
 
-def _first_gap(delta: int, t):
-    """First gap e_1 = delta*t - 1 of S/I^t; t is an integer or the variable Poly."""
+def _first_gap(delta: int, t: int) -> int:
+    """First gap e_1 = delta*t - 1 of S/I^t."""
     return delta * t - 1
 
 
-def _bound_product(codim: int, defect: int, j: int, e1):
+def _bound_product(codim: int, defect: int, j: int, e1: int) -> tuple[int, int]:
     """The bound at first gap e1, as the pair (numerator, integer denominator).
 
     Numerator (1 + e1) ... (j-1 + e1) * (j+1 + e1 + b) ... (c + e1 + b) over
-    (1+b)...(j-1+b) * (1+b)...(c-j+b); e1 may be an integer or a Poly.
+    (1+b)...(j-1+b) * (1+b)...(c-j+b).
     """
     numerator = 1
     for i in range(1, j):
@@ -68,13 +67,6 @@ def _bound_product(codim: int, defect: int, j: int, e1):
     for i in range(j + 1, codim + 1):
         numerator = numerator * (i + e1 + defect)
     return numerator, math.perm(j - 1 + defect, j - 1) * math.perm(codim - j + defect, codim - j)
-
-
-def exact_lower_bound_poly(codim: int, delta: int, defect: int, j: int) -> Poly:
-    """The pre-asymptotic bound as an exact polynomial in the power t."""
-    PowerBoundParams(codim, delta, defect, j, 1)
-    numerator, denominator = _bound_product(codim, defect, j, _first_gap(delta, Poly.variable()))
-    return Poly.constant(Fraction(1, denominator)) * numerator
 
 
 def exact_lower_bound(params: PowerBoundParams) -> Fraction:

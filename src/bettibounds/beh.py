@@ -103,13 +103,14 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
         raise DomainError(
             f"codimension {codim} exceeds the projective dimension {diagram.projective_dimension()}"
         )
+    # An interior zero column is refused here, before the O(c) column checks.
+    top_generator = diagram.max_degrees()[0]
     beta0 = diagram.total(0)
     per_j = tuple(
         ColumnCheck(j, diagram.total(j), beta0 * math.comb(c, j)) for j in range(c + 1)
     )
     notes = []
     work = diagram
-    top_generator = diagram.max_degrees()[0]
     if top_generator > 0:
         work = diagram.translate(-top_generator)
         notes.append(f"translated degrees by {-top_generator} to place generators in degrees <= 0")

@@ -16,15 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .diagram import (
-    BettiDiagram,
-    check_degree_sequence,
-    format_rational,
-    load_json,
-    parse_rational,
-    seq_leq,
-)
-from .errors import DomainError, FormatError, GapColumnError, InvalidSequenceError, NotInConeError
+from .diagram import BettiDiagram, format_rational, seq_leq
+from .errors import DomainError, GapColumnError, InvalidSequenceError, NotInConeError
 from .pure import herzog_kuhl
 
 
@@ -49,22 +42,6 @@ class Decomposition:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Decomposition":
-        payload = load_json(text)
-        if not isinstance(payload, dict) or "terms" not in payload:
-            raise FormatError('decomposition JSON must be an object with a "terms" list')
-        terms = []
-        for row in payload["terms"]:
-            if not isinstance(row, dict) or not {"coefficient", "degrees"} <= set(row):
-                raise FormatError(f"term must have coefficient and degrees: {row!r}")
-            coefficient = parse_rational(row["coefficient"])
-            if coefficient <= 0:
-                raise FormatError(f"coefficient must be positive, got {coefficient}")
-            degrees = check_degree_sequence(row["degrees"])
-            terms.append((coefficient, degrees))
-        return cls(tuple(terms))
 
 
 def decompose(diagram: BettiDiagram) -> Decomposition:

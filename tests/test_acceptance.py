@@ -7,6 +7,7 @@ lines.  Every comparison is exact; the stated runtime budgets are asserted.
 import contextlib
 import functools
 import io
+import math
 import os
 import random
 import tempfile
@@ -20,7 +21,7 @@ from bettibounds import (
     beh_check,
     bound_vs_pure,
     decompose,
-    exact_lower_bound_poly,
+    exact_lower_bound,
     from_gaps,
     herzog_kuhl,
     koszul,
@@ -176,9 +177,17 @@ def test_criterion_8():
         for defect in range(0, 5):
             for delta in range(1, 5):
                 for j in range(1, codim + 1):
-                    poly = exact_lower_bound_poly(codim, delta, defect, j)
-                    assert poly.degree() == codim - 1
-                    assert poly.leading_coeff() == leading_coefficient(codim, delta, defect, j)
+                    # the bound is a product of codim - 1 factors linear in t: its
+                    # (codim-1)-th differences are (codim-1)! * lead and the next is 0
+                    diffs = [
+                        exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
+                        for t in range(1, codim + 2)
+                    ]
+                    for _ in range(codim - 1):
+                        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                    lead = leading_coefficient(codim, delta, defect, j)
+                    assert lead > 0
+                    assert diffs == [math.factorial(codim - 1) * lead] * 2
     for codim in range(1, 5):
         for delta in (1, 2):
             for defect in (0, 1, 2):

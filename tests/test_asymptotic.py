@@ -11,7 +11,6 @@ from bettibounds import (
     PowerBoundParams,
     bound_vs_pure,
     exact_lower_bound,
-    exact_lower_bound_poly,
     leading_bound,
     leading_coefficient,
     minimalize,
@@ -22,7 +21,7 @@ from helpers import upper_koszul_betti
 
 
 def direct_product_bound(codim, delta, defect, j, t):
-    """The bound recomputed factor by factor, independent of the Poly path."""
+    """The bound recomputed factor by factor, independent of the library's product."""
     value = Fraction(1)
     for i in range(1, j):
         value *= i + t * delta - 1
@@ -62,17 +61,26 @@ def test_leading_bound_examples():
 def test_leading_coefficient_is_the_top_term():
     for codim, delta, defect in product(range(1, 7), range(1, 5), range(0, 5)):
         for j in range(1, codim + 1):
-            poly = exact_lower_bound_poly(codim, delta, defect, j)
-            assert poly.degree() == codim - 1
-            assert poly.leading_coeff() == leading_coefficient(codim, delta, defect, j)
+            # a product of codim - 1 factors linear in t has degree codim - 1 and
+            # leading coefficient lead exactly when, over codim + 1 consecutive t,
+            # its (codim-1)-th differences are (codim-1)! * lead and the next is 0
+            diffs = [
+                exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
+                for t in range(1, codim + 2)
+            ]
+            for _ in range(codim - 1):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            lead = leading_coefficient(codim, delta, defect, j)
+            assert lead > 0
+            assert diffs == [math.factorial(codim - 1) * lead] * 2
 
 
 def test_exact_bound_dominates_leading_term():
-    # all expansion coefficients are nonnegative, so the bound beats its top term
+    # every factor is i + delta*t - 1 (+ b) with i >= 1, a polynomial in t with
+    # nonnegative coefficients, so the product's expansion has only nonnegative
+    # coefficients and the bound beats its top term
     for codim, delta, defect in product(range(1, 6), (1, 2), (0, 2)):
         for j in range(1, codim + 1):
-            poly = exact_lower_bound_poly(codim, delta, defect, j)
-            assert all(c >= 0 for _, c in poly.items())
             for t in (1, 5, 20):
                 params = PowerBoundParams(codim, delta, defect, j, t)
                 assert exact_lower_bound(params) >= leading_bound(params)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bettibounds import BettiDiagram, Decomposition, MonomialIdeal, herzog_kuhl, koszul
+from bettibounds import BettiDiagram, MonomialIdeal, herzog_kuhl, koszul
 from bettibounds.cli import main
 
 
@@ -85,8 +85,12 @@ def test_decompose_file(tmp_path, capsys):
     path.write_text(QUOTIENT_X2_XY, encoding="utf-8")
     code, out, _ = run(capsys, "decompose", str(path), "--format", "json")
     assert code == 0
-    decomposition = Decomposition.from_json(out)
-    assert [(str(c), d) for c, d in decomposition] == [("1/2", (0, 2, 3)), ("1/2", (0, 2))]
+    assert json.loads(out) == {
+        "terms": [
+            {"coefficient": "1/2", "degrees": [0, 2, 3]},
+            {"coefficient": "1/2", "degrees": [0, 2]},
+        ]
+    }
 
 
 def test_decompose_not_in_cone(tmp_path, capsys):
@@ -348,3 +352,17 @@ def test_check_beh_codim_above_the_projective_dimension_is_a_domain_error(tmp_pa
     assert code == 2
     assert out == ""
     assert err == "error: domain: codimension 100000000 exceeds the projective dimension 2\n"
+
+
+def test_check_beh_refuses_an_interior_zero_column_before_the_column_checks(tmp_path, capsys):
+    # projective dimension 10^6 with columns 1..10^6-1 empty; the refusal must not
+    # first build 10^6 + 1 column checks with million-digit binomials
+    path = tmp_path / "gap.json"
+    path.write_text(
+        '{"entries":[{"i":0,"j":0,"value":"1"},{"i":1000000,"j":1000005,"value":"1"}]}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check-beh", str(path), "--codim", "1000000")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: gap-column: ")

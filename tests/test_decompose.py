@@ -7,7 +7,6 @@ from bettibounds import (
     BettiDiagram,
     Decomposition,
     DomainError,
-    InvalidSequenceError,
     NotInConeError,
     decompose,
     herzog_kuhl,
@@ -149,15 +148,3 @@ def test_validate_bounds_weakly_increasing_max_degrees():
     diagram = taylor_betti(ideal)
     assert diagram.max_degrees() == (0, 9, 10, 10)
     assert validate_bounds(decompose(diagram), diagram).passed
-
-
-def test_decomposition_json_round_trip():
-    diagram = BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
-    decomposition = decompose(diagram)
-    text = decomposition.to_json()
-    assert Decomposition.from_json(text) == decomposition
-
-
-def test_decomposition_json_rejects_boolean_degrees():
-    with pytest.raises(InvalidSequenceError):
-        Decomposition.from_json('{"terms": [{"coefficient": "1", "degrees": [false, true]}]}')

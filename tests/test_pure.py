@@ -57,6 +57,8 @@ def test_consecutive_degrees_give_binomials():
 def test_rejects_non_increasing():
     with pytest.raises(InvalidSequenceError):
         herzog_kuhl((0, 2, 2))
+    with pytest.raises(InvalidSequenceError):
+        herzog_kuhl((False, True))  # bool is an int subclass, not a degree
 
 
 def test_totals_match_equation_solver():
