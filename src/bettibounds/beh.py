@@ -216,13 +216,22 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
 
     Every comparison is made on the integer pairs of `hk_pair`; column totals
     are built as fractions only for reported rows.  `sequences_checked` is the
-    size of the domain, sum over s of C(d_max, s), in every mode.
+    size of the domain, sum over s of C(d_max, s), in every mode.  An s range
+    reaching outside [1, 8] is refused after reading at most nine distinct
+    values from it, however long it is.
     """
-    s_values = tuple(sorted(set(s_range)))
+    values = iter(s_range)
+    distinct = set()
+    for s in values:
+        distinct.add(s)
+        if len(distinct) > 8:  # nine distinct integers cannot all lie in [1, 8]
+            break
+    s_values = tuple(sorted(distinct))
     if not s_values:
         raise DomainError("empty s range")
     if s_values[0] < 1 or s_values[-1] > 8:
-        raise DomainError(f"s range must lie in [1, 8], got {s_values}")
+        shown = s_values if next(values, None) is None else f"({', '.join(map(str, s_values))}, ...)"
+        raise DomainError(f"s range must lie in [1, 8], got {shown}")
     if not 1 <= d_max <= 20:
         raise DomainError(f"d_max must lie in [1, 20], got {d_max}")
     if mode not in SCAN_MODES:

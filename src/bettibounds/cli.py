@@ -9,6 +9,7 @@ input error.  Every failure, argparse's included, prints one `error: <kind>:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -187,7 +188,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `betti` parser, built on first use and then shared by every `main` call.
+
+    Sharing is safe because parsing leaves the parser unchanged: each
+    `parse_args` fills a fresh namespace, and every default is immutable.
+    """
     parser = _Parser(
         prog="betti",
         description="Exact Betti-diagram toolkit: pure diagrams, cone decomposition, "

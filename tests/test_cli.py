@@ -366,3 +366,19 @@ def test_check_beh_refuses_an_interior_zero_column_before_the_column_checks(tmp_
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: gap-column: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--s-max", "30000000", "--d-max", "5", "--mode", "find-violations"],
+        ["verify-lemmas", "--samples", "1", "--seed", "1", "--s-max", "1000000"],
+    ],
+    ids=["scan-s-range", "verify-lemmas-s-max"],
+)
+def test_a_vast_s_max_is_refused_before_any_work(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: domain: ")
+    assert len(err) <= 200

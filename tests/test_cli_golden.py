@@ -3,7 +3,9 @@
 Every command runs in-process through `cli.main`.  Input files are written to
 a temporary directory and named by placeholders such as {quotient}, so the
 transcript never contains a path.  `cli_golden.txt` holds the expected
-transcript; a change to any CLI output shows up here as a diff.
+transcript; a change to any CLI output shows up here as a diff.  Every call
+shares one parser, so the transcript is also replayed in other orders: a
+call that left state in the parser would change a later block.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import shlex
 from pathlib import Path
 
-from bettibounds.cli import main
+import pytest
+
+from bettibounds.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.txt")
 
@@ -70,6 +74,7 @@ COMMANDS = [
     "monomial-betti --family nosuch(3)",
     "check-pure --degrees 0,1,1",
     "scan --s-max 9 --d-max 8 --mode find-violations",
+    "verify-lemmas --samples 1 --seed 1 --s-max 1000000",
     "asymptotic --codim 2 --delta 1 --defect 0 --j 1 --t-max 0",
     "check-beh {gap}",
     "decompose {negative}",
@@ -78,14 +83,14 @@ COMMANDS = [
 ]
 
 
-def transcript(tmp_path: Path, capsys) -> list:
+def transcript(tmp_path: Path, capsys, commands=COMMANDS) -> list:
     """One block per command: the command line, its stdout, stderr and exit code."""
     paths = {}
     for name, text in FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text, encoding="utf-8")
     blocks = []
-    for command in COMMANDS:
+    for command in commands:
         argv = [arg.format(**paths) for arg in shlex.split(command)]
         code = main(argv)
         captured = capsys.readouterr()
@@ -111,3 +116,21 @@ def test_cli_transcript_is_unchanged(tmp_path, capsys):
     assert [b.splitlines()[0] for b in blocks] == [b.splitlines()[0] for b in expected]
     for got, want in zip(blocks, expected):
         assert got == want
+
+
+def test_every_main_call_shares_one_parser():
+    assert build_parser() is build_parser()
+
+
+USAGE_ERROR = "scan --s-max x --d-max 3 --mode shape-verify"
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [COMMANDS[::-1], [c for command in COMMANDS for c in (USAGE_ERROR, command)]],
+    ids=["reversed", "each-after-a-usage-error"],
+)
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, commands):
+    expected = {b.splitlines()[0]: b for b in split_blocks(GOLDEN.read_text(encoding="utf-8"))}
+    for got in transcript(tmp_path, capsys, commands):
+        assert got == expected[got.splitlines()[0]]
