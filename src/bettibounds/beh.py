@@ -105,10 +105,11 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
         )
     # An interior zero column is refused here, before the O(c) column checks.
     top_generator = diagram.max_degrees()[0]
-    beta0 = diagram.total(0)
-    per_j = tuple(
-        ColumnCheck(j, diagram.total(j), beta0 * math.comb(c, j)) for j in range(c + 1)
-    )
+    # a computed codim may exceed the projective dimension; those columns are zero
+    totals = diagram.totals()
+    totals += (Fraction(0),) * (c + 1 - len(totals))
+    beta0 = totals[0]
+    per_j = tuple(ColumnCheck(j, totals[j], beta0 * math.comb(c, j)) for j in range(c + 1))
     notes = []
     work = diagram
     if top_generator > 0:

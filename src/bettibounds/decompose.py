@@ -7,6 +7,12 @@ subtract the largest multiple of that pure diagram that keeps all entries
 nonnegative, and repeat.  Each step zeroes at least one entry and creates
 none, so the loop ends within as many steps as the diagram has entries.
 Inputs outside the reach of this procedure raise NotInConeError.
+
+The loop works on a private copy of the input, one stack of (degree, value)
+pairs per column with the minimal degree on top.  A pure step touches only
+the s + 1 entries (i, d_i), which are the tops; an entry it zeroes is popped,
+and no other entry ever changes.  So a step costs O(s) integer and Fraction
+operations, whatever the size of the diagram, and no BettiDiagram is built.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .diagram import BettiDiagram, format_rational, seq_leq
-from .errors import DomainError, GapColumnError, InvalidSequenceError, NotInConeError
-from .pure import herzog_kuhl
+from .diagram import BettiDiagram, check_degree_sequence, format_rational, seq_leq
+from .errors import DomainError, NotInConeError
+from .pure import column_totals, hk_pair
 
 
 @dataclass(frozen=True)
@@ -50,32 +56,51 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
         raise DomainError("cannot decompose the zero diagram")
     if any(value < 0 for _, value in diagram.items()):
         raise NotInConeError("diagram has a negative entry")
-    work = diagram
+    # column i -> its (degree, value) pairs, highest degree first
+    columns: dict[int, list] = {}
+    for (i, j), value in reversed(diagram.items()):
+        columns.setdefault(i, []).append((j, value))
     terms = []
-    while work:
-        try:
-            degrees = work.min_degrees()
-        except GapColumnError as exc:
-            raise NotInConeError(f"interior zero column: {exc}") from exc
-        try:
-            pure = herzog_kuhl(degrees)
-        except InvalidSequenceError as exc:
-            raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}") from exc
-        # pure lives on the entries (i, d_i) of work, positive on both sides, so
-        # the coefficient is positive, no entry turns negative or appears, and
-        # the argmin is zeroed and pruned: the support shrinks every step.
-        coefficient = min(work[(i, d)] / pure[(i, d)] for i, d in enumerate(degrees))
-        work = work - coefficient * pure
+    while columns:
+        top = max(columns)
+        if len(columns) <= top:
+            gap = next(i for i in range(top) if i not in columns)
+            raise NotInConeError(
+                f"interior zero column: column {gap} is zero but column {top} is not"
+            )
+        fronts = [columns[i][-1] for i in range(top + 1)]
+        degrees = tuple(d for d, _ in fronts)
+        if any(b <= a for a, b in zip(degrees, degrees[1:])):
+            raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}")
+        pure = [hk_pair(degrees, i) for i in range(top + 1)]
+        # pure lives on the tops (i, d_i), positive on both sides, so the
+        # coefficient is positive, no entry turns negative or appears, and the
+        # argmin is zeroed and popped: the support shrinks every step.
+        coefficient = min(
+            Fraction(value.numerator * den, value.denominator * num)
+            for (_, value), (num, den) in zip(fronts, pure)
+        )
+        for i, ((d, value), (num, den)) in enumerate(zip(fronts, pure)):
+            rest = value - Fraction(coefficient.numerator * num, coefficient.denominator * den)
+            column = columns[i]
+            if rest:
+                column[-1] = (d, rest)
+            else:
+                column.pop()
+                if not column:
+                    del columns[i]
         terms.append((coefficient, degrees))
     return Decomposition(tuple(terms))
 
 
 def recompose(decomposition: Decomposition) -> BettiDiagram:
     """Exact sum of coefficient * pure diagram over all terms."""
-    total = BettiDiagram()
+    table: dict[tuple[int, int], Fraction] = {}
     for coefficient, degrees in decomposition:
-        total = total + coefficient * herzog_kuhl(degrees)
-    return total
+        degrees = check_degree_sequence(degrees)
+        for key, total in zip(enumerate(degrees), column_totals(degrees)):
+            table[key] = table.get(key, 0) + coefficient * total
+    return BettiDiagram(table)
 
 
 @dataclass(frozen=True)

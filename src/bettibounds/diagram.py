@@ -174,8 +174,11 @@ class BettiDiagram:
         return sum((v for (ii, _), v in self._entries.items() if ii == i), Fraction(0))
 
     def totals(self) -> tuple:
-        """All column totals (index 0 through the projective dimension)."""
-        return tuple(self.total(i) for i in range(self.projective_dimension() + 1))
+        """All column totals (index 0 through the projective dimension), in one walk."""
+        sums = [Fraction(0)] * (self.projective_dimension() + 1)
+        for (i, _), value in self._entries.items():
+            sums[i] += value
+        return tuple(sums)
 
     def min_degrees(self) -> DegreeSequence:
         return self._column_extremes(min)
@@ -265,7 +268,7 @@ class BettiDiagram:
                     f"more than {MAX_TABLE_ROWS}; the json format has no such limit"
                 )
         grid = [[""] + [str(i) for i in columns]]
-        grid.append(["total:"] + [format_rational(self.total(i)) for i in columns])
+        grid.append(["total:"] + [format_rational(t) for t in self.totals()])
         for r in range(low, high + 1):
             cells = (self._entries.get((i, r + i)) for i in columns)
             grid.append([f"{r}:"] + ["." if v is None else format_rational(v) for v in cells])

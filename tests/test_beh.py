@@ -60,6 +60,14 @@ def test_beh_check_refuses_a_codimension_above_the_projective_dimension():
         beh_check(diagram, codim=3)
 
 
+def test_beh_check_pads_a_computed_codimension_above_the_projective_dimension():
+    # Hilbert numerator (1 - t)^2 in one column: codim 2 but projective dimension 0
+    report = beh_check(BettiDiagram({(0, 0): 1, (0, 1): -2, (0, 2): 1}))
+    assert report.codim == 2
+    assert [check.j for check in report.per_j] == [0, 1, 2]
+    assert all(check.actual == 0 for check in report.per_j)
+
+
 def test_beh_check_socle_quotient_passes():
     diagram = BettiDiagram({(0, 0): 1, (1, 2): 3, (2, 3): 2})
     report = beh_check(diagram, codim=2)

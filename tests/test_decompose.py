@@ -20,6 +20,7 @@ from bettibounds import (
 from helpers import (
     WEAK_MAX_DEGREE_IDEAL,
     corpus_diagrams,
+    hk_equation_solve,
     random_pure_combination,
     random_sparse_diagram,
 )
@@ -118,19 +119,77 @@ def test_empty_and_invalid_inputs():
     with pytest.raises(DomainError):
         decompose(BettiDiagram())
     assert recompose(Decomposition(())) == BettiDiagram()
-    with pytest.raises(NotInConeError):
-        decompose(BettiDiagram({(0, 0): 1, (1, 1): -1}))
-    with pytest.raises(NotInConeError):
-        decompose(BettiDiagram({(0, 0): 1, (2, 2): 1}))  # interior zero column
-    with pytest.raises(NotInConeError):
-        decompose(BettiDiagram({(0, 0): 1, (1, 0): 1}))  # min degrees not increasing
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 0): 1, (1, 1): -1}, "diagram has a negative entry"),
+        ({(0, 0): 1, (2, 2): 1}, "interior zero column: column 1 is zero but column 2 is not"),
+        ({(0, 0): 1, (1, 0): 1}, "minimal degrees not strictly increasing: (0, 0)"),
+    ],
+)
+def test_not_in_cone_refusals_name_their_obstruction(entries, message):
+    with pytest.raises(NotInConeError) as excinfo:
+        decompose(BettiDiagram(entries))
+    assert str(excinfo.value) == message
 
 
 def test_not_in_cone_after_partial_elimination():
-    # after one greedy step the top column empties while column 1 still has mass
+    # one greedy step of (1/2)*pi(0,1,2) zeroes (1, 1) and leaves (2, 2) at 9/2
     diagram = BettiDiagram({(0, 0): 1, (1, 1): 1, (2, 2): 5})
-    with pytest.raises(NotInConeError):
+    with pytest.raises(NotInConeError) as excinfo:
         decompose(diagram)
+    assert str(excinfo.value) == "interior zero column: column 1 is zero but column 2 is not"
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1}),
+        BettiDiagram({(0, 0): 1, (1, 1): 1, (2, 2): 5}),
+    ],
+    ids=["decomposes", "refused-midway"],
+)
+def test_decompose_leaves_its_input_unchanged(diagram):
+    before = (diagram.items(), hash(diagram))
+    try:
+        decompose(diagram)
+    except NotInConeError:
+        pass
+    assert (diagram.items(), hash(diagram)) == before
+
+
+def bumped_chain(rng, s, n_terms=30):
+    """Chain of n_terms pure terms, one degree bumped per term, with
+    coefficients p/q for p < 2**24 and q < 2**12."""
+    degrees = [0]
+    for _ in range(s):
+        degrees.append(degrees[-1] + 1 + rng.randint(0, 2))
+    terms = []
+    for _ in range(n_terms):
+        coefficient = Fraction(rng.randrange(1, 1 << 24), rng.randrange(1, 1 << 12))
+        terms.append((coefficient, tuple(degrees)))
+        movable = [i for i in range(1, s + 1) if i == s or degrees[i] + 1 < degrees[i + 1]]
+        degrees[rng.choice(movable)] += 1
+    return terms
+
+
+def test_decompose_recovers_long_chains_exactly():
+    # each step bumps one degree, so greedy meets each term's own argmin entry
+    # and must return the generating terms, in order, with their coefficients
+    rng = random.Random(101)
+    for s in range(3, 9):
+        terms = bumped_chain(rng, s)
+        table = {}
+        for coefficient, degrees in terms:
+            for i, total in enumerate(hk_equation_solve(degrees)):
+                table[i, degrees[i]] = table.get((i, degrees[i]), 0) + coefficient * total
+        diagram = BettiDiagram(table)
+        decomposition = decompose(diagram)
+        assert decomposition.terms == tuple(terms), s
+        assert recompose(decomposition) == diagram
+        assert validate_bounds(decomposition, diagram).passed
 
 
 def test_validate_bounds_report_content():

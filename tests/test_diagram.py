@@ -138,6 +138,7 @@ def test_stats_match_dense_scan():
         scan = dense_scan(diagram)
         pdim = diagram.projective_dimension()
         assert [diagram.total(i) for i in range(pdim + 1)] == scan["totals"]
+        assert diagram.totals() == tuple(scan["totals"])
         assert diagram.regularity() == scan["regularity"]
         if scan["min_degrees"] is None:
             with pytest.raises(GapColumnError):
