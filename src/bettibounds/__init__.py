@@ -26,8 +26,6 @@ from .diagram import (
     BettiDiagram,
     check_degree_sequence,
     format_rational,
-    from_gaps,
-    gaps,
     parse_rational,
     seq_leq,
 )
@@ -44,7 +42,6 @@ from .monomial import MonomialIdeal, corpus, minimalize, taylor_betti
 from .poly import Poly
 from .pure import (
     herzog_kuhl,
-    koszul,
     pure_shape_check,
     pure_total,
     pure_total_partial,
@@ -74,10 +71,7 @@ __all__ = [
     "decompose",
     "exact_lower_bound",
     "format_rational",
-    "from_gaps",
-    "gaps",
     "herzog_kuhl",
-    "koszul",
     "leading_bound",
     "leading_coefficient",
     "minimalize",

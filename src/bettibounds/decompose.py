@@ -8,11 +8,13 @@ nonnegative, and repeat.  Each step zeroes at least one entry and creates
 none, so the loop ends within as many steps as the diagram has entries.
 Inputs outside the reach of this procedure raise NotInConeError.
 
-The loop works on a private copy of the input, one stack of (degree, value)
-pairs per column with the minimal degree on top.  A pure step touches only
-the s + 1 entries (i, d_i), which are the tops; an entry it zeroes is popped,
-and no other entry ever changes.  So a step costs O(s) integer and Fraction
-operations, whatever the size of the diagram, and no BettiDiagram is built.
+The loop works on a private copy of the input, one stack of (degree,
+numerator, denominator) triples per column with the minimal degree on top;
+every value is kept as a reduced integer pair.  A pure step touches only the
+s + 1 entries (i, d_i), which are the tops; an entry it zeroes is popped, and
+no other entry ever changes.  So a step costs O(s) integer operations and one
+gcd per entry it keeps, whatever the size of the diagram: no BettiDiagram is
+built, and the only Fraction made is the term's coefficient.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Tuple
 
 from .diagram import BettiDiagram, check_degree_sequence, format_rational, seq_leq
 from .errors import DomainError, NotInConeError
-from .pure import column_totals, hk_pair
+from .pure import hk_pair
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,12 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
     """Greedy chain decomposition; exact, and invertible by :func:`recompose`."""
     if not diagram:
         raise DomainError("cannot decompose the zero diagram")
-    if any(value < 0 for _, value in diagram.items()):
-        raise NotInConeError("diagram has a negative entry")
-    # column i -> its (degree, value) pairs, highest degree first
+    # column i -> its (degree, num, den) triples, highest degree first
     columns: dict[int, list] = {}
     for (i, j), value in reversed(diagram.items()):
-        columns.setdefault(i, []).append((j, value))
+        if value < 0:
+            raise NotInConeError("diagram has a negative entry")
+        columns.setdefault(i, []).append((j, value.numerator, value.denominator))
     terms = []
     while columns:
         top = max(columns)
@@ -69,22 +72,29 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
                 f"interior zero column: column {gap} is zero but column {top} is not"
             )
         fronts = [columns[i][-1] for i in range(top + 1)]
-        degrees = tuple(d for d, _ in fronts)
+        degrees = tuple(d for d, _, _ in fronts)
         if any(b <= a for a, b in zip(degrees, degrees[1:])):
             raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}")
         pure = [hk_pair(degrees, i) for i in range(top + 1)]
         # pure lives on the tops (i, d_i), positive on both sides, so the
         # coefficient is positive, no entry turns negative or appears, and the
         # argmin is zeroed and popped: the support shrinks every step.
-        coefficient = min(
-            Fraction(value.numerator * den, value.denominator * num)
-            for (_, value), (num, den) in zip(fronts, pure)
-        )
-        for i, ((d, value), (num, den)) in enumerate(zip(fronts, pure)):
-            rest = value - Fraction(coefficient.numerator * num, coefficient.denominator * den)
+        # The coefficient is the least (vn/vd) / (num/den), compared by
+        # cross-multiplying, and reduced once.
+        cn, cd = 0, 0
+        for (_, vn, vd), (num, den) in zip(fronts, pure):
+            n, m = vn * den, vd * num
+            if not cd or n * cd < cn * m:
+                cn, cd = n, m
+        coefficient = Fraction(cn, cd)
+        cn, cd = coefficient.numerator, coefficient.denominator
+        for i, ((d, vn, vd), (num, den)) in enumerate(zip(fronts, pure)):
+            rest = vn * cd * den - cn * num * vd
             column = columns[i]
             if rest:
-                column[-1] = (d, rest)
+                scale = vd * cd * den
+                g = gcd(rest, scale)
+                column[-1] = (d, rest // g, scale // g)
             else:
                 column.pop()
                 if not column:
@@ -94,13 +104,28 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
 
 
 def recompose(decomposition: Decomposition) -> BettiDiagram:
-    """Exact sum of coefficient * pure diagram over all terms."""
-    table: dict[tuple[int, int], Fraction] = {}
+    """Exact sum of coefficient * pure diagram over all terms.
+
+    Each entry is summed as a reduced integer pair, so its size follows its
+    value, not the number of terms that reach it.  Coefficients must be of
+    type int or Fraction.
+    """
+    table: dict[tuple[int, int], tuple[int, int]] = {}
     for coefficient, degrees in decomposition:
         degrees = check_degree_sequence(degrees)
-        for key, total in zip(enumerate(degrees), column_totals(degrees)):
-            table[key] = table.get(key, 0) + coefficient * total
-    return BettiDiagram(table)
+        kind = type(coefficient)
+        if kind is not int and kind is not Fraction:
+            raise DomainError(f"coefficient must be an int or a Fraction, got {kind.__name__}")
+        cn, cd = coefficient.numerator, coefficient.denominator
+        for i, d in enumerate(degrees):
+            num, den = hk_pair(degrees, i)
+            n, m = cn * num, cd * den
+            if (i, d) in table:
+                tn, tm = table[i, d]
+                n, m = tn * m + n * tm, tm * m
+            g = gcd(n, m)
+            table[i, d] = (n // g, m // g)
+    return BettiDiagram({key: Fraction(n, m) for key, (n, m) in table.items()})
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ from .errors import (
 from .poly import Poly
 
 DegreeSequence = Tuple[int, ...]
-GapVector = Tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 # `table()` is dense in the row offset j - i and in the homological index i, so
 # a sparse diagram with a vast degree spread or projective dimension would need
@@ -38,11 +37,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse a decimal-free rational literal "p" or "p/q" with q > 0."""
     if not isinstance(text, str):
         raise FormatError(f"rational literal must be a string, got {type(text).__name__}")
-    stripped = text.strip()
-    if not _RATIONAL_RE.fullmatch(stripped):
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if not match:
         raise FormatError(f"not a rational literal: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(stripped)
+        return Fraction(int(numerator), int(denominator) if denominator else 1)
     except ZeroDivisionError:
         raise FormatError(f"zero denominator: {text!r}") from None
     except ValueError:  # the interpreter's limit on integer string conversion
@@ -84,6 +84,7 @@ class BettiDiagram:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Union[Mapping, Iterable, None] = None):
+        """Sum (i, j) -> value pairs, each value of type int or Fraction, into a table."""
         table: dict[tuple[int, int], Fraction] = {}
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
@@ -93,7 +94,17 @@ class BettiDiagram:
                     raise FormatError(f"diagram key must be a pair of integers, got {key!r}")
                 if i < 0:
                     raise FormatError(f"homological index must be >= 0, got {i}")
-                value = table.get((i, j), Fraction(0)) + Fraction(raw)
+                kind = type(raw)  # exact types: bool is an int, float a binary fraction
+                if kind is int:
+                    value = Fraction(raw)
+                elif kind is Fraction:
+                    value = raw
+                else:
+                    raise FormatError(
+                        f"diagram value must be an int or a Fraction, got {kind.__name__}"
+                    )
+                if (i, j) in table:
+                    value += table[i, j]
                 if value:
                     table[i, j] = value
                 else:
@@ -168,10 +179,6 @@ class BettiDiagram:
         if not self._entries:
             raise DomainError("empty diagram has no projective dimension")
         return max(i for i, _ in self._entries)
-
-    def total(self, i: int) -> Fraction:
-        """Column total: sum of all entries with homological index i."""
-        return sum((v for (ii, _), v in self._entries.items() if ii == i), Fraction(0))
 
     def totals(self) -> tuple:
         """All column totals (index 0 through the projective dimension), in one walk."""
@@ -281,7 +288,7 @@ class BettiDiagram:
         return diagram
 
 
-# -- degree sequences and gap vectors ------------------------------------------
+# -- degree sequences ----------------------------------------------------------
 
 
 def check_degree_sequence(degrees: Sequence[int]) -> DegreeSequence:
@@ -308,23 +315,3 @@ def seq_leq(lower: Sequence[int], upper: Sequence[int]) -> bool:
     if len(lower) != len(upper):
         raise DomainError(f"lengths {len(lower)} and {len(upper)} differ")
     return all(a <= b for a, b in zip(lower, upper))
-
-
-def gaps(degrees: Sequence[int]) -> GapVector:
-    """Gap coordinates e_i = d_i - d_{i-1} - 1 of a degree sequence."""
-    degrees = check_degree_sequence(degrees)
-    return tuple(Fraction(b - a - 1) for a, b in zip(degrees, degrees[1:]))
-
-
-def from_gaps(gap_vector: Sequence, d0: int = 0) -> DegreeSequence:
-    """Degree sequence with base degree d0 realizing the given gaps.
-
-    Inverse of :func:`gaps` up to the base degree: d_j = d0 + j + e_1 + ... + e_j.
-    """
-    out = [d0]
-    for e in gap_vector:
-        e = Fraction(e)
-        if e < 0 or e.denominator != 1:
-            raise DomainError(f"gap coordinates must be nonnegative integers, got {e}")
-        out.append(out[-1] + 1 + int(e))
-    return tuple(out)

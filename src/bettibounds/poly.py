@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from .errors import DomainError
+from .errors import DomainError, FormatError
 
 
 class Poly:
@@ -27,7 +27,17 @@ class Poly:
             for exp, raw in items:
                 if not isinstance(exp, int):
                     raise TypeError(f"exponent must be an integer, got {exp!r}")
-                coeff = data.get(exp, Fraction(0)) + Fraction(raw)
+                kind = type(raw)  # exact types: bool is an int, float a binary fraction
+                if kind is int:
+                    coeff = Fraction(raw)
+                elif kind is Fraction:
+                    coeff = raw
+                else:
+                    raise FormatError(
+                        f"coefficient must be an int or a Fraction, got {kind.__name__}"
+                    )
+                if exp in data:
+                    coeff += data[exp]
                 if coeff:
                     data[exp] = coeff
                 elif exp in data:

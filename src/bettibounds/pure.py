@@ -77,13 +77,6 @@ def herzog_kuhl(degrees: Sequence[int]) -> BettiDiagram:
     return BettiDiagram(zip(enumerate(degrees), column_totals(degrees)))
 
 
-def koszul(n: int) -> BettiDiagram:
-    """Diagram with entry C(n, i) at (i, i); the gap-zero pure diagram."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    return BettiDiagram({(i, i): math.comb(n, i) for i in range(n + 1)})
-
-
 def pure_shape_check(degrees: Sequence[int]) -> bool:
     """True when d_0 <= 0 and d_s - s <= 2*d_1 - 2.
 

@@ -6,18 +6,70 @@ are recomputed from dense tables, monomial Betti numbers come from upper
 Koszul complexes and from a Taylor complex over generator subsets, both with
 this module's own rank, Hilbert numerators come from inclusion-exclusion over
 generator subsets, partial derivatives of column totals come from the product
-and quotient rules over the linear forms of the product, and interior column
-totals on a two-parameter slice come from their closed product form.
+and quotient rules over the linear forms of the product, interior column
+totals on a two-parameter slice come from their closed product form, and the
+greedy decomposition is repeated in plain Fractions on the solved pure
+diagrams.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import signal
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from bettibounds import BettiDiagram, Poly, herzog_kuhl, koszul, minimalize, corpus, taylor_betti
+from bettibounds import (
+    BettiDiagram,
+    DomainError,
+    NotInConeError,
+    Poly,
+    corpus,
+    herzog_kuhl,
+    minimalize,
+    taylor_betti,
+)
+
+
+# values of every kind but int and Fraction, each once: a binary float, a
+# bool (an int subclass), NaN, infinity, None, a string and a Decimal
+NOT_EXACT_VALUES = (0.1, True, float("nan"), float("inf"), None, "1", Decimal(1))
+NOT_EXACT_IDS = ("float", "bool", "nan", "inf", "none", "str", "decimal")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread when the block outlasts `seconds` (POSIX).
+
+    Turns a loop that never ends into a test failure instead of a hung run.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def koszul(n):
+    """Diagram with entry C(n, i) at (i, i): the Koszul complex, the gap-zero pure diagram."""
+    return BettiDiagram({(i, i): math.comb(n, i) for i in range(n + 1)})
+
+
+def from_gaps(gap_vector, d0):
+    """Degree sequence d_j = d0 + j + e_1 + ... + e_j of nonnegative integer gaps."""
+    degrees = [d0]
+    for e in gap_vector:
+        degrees.append(degrees[-1] + 1 + e)
+    return tuple(degrees)
 
 
 def hk_equation_solve(degrees):
@@ -47,6 +99,45 @@ def hk_equation_solve(degrees):
         acc = rows[r][s] - sum((rows[r][c] * xs[c] for c in range(r + 1, s)), Fraction(0))
         xs[r] = acc / rows[r][r]
     return (Fraction(1),) + tuple(xs)
+
+
+def greedy_decompose(diagram):
+    """Greedy chain decomposition in plain Fractions, as a list of (coefficient, degrees).
+
+    Each step reads the minimal degree of every column, solves that pure
+    diagram with :func:`hk_equation_solve`, and subtracts the largest multiple
+    that keeps every entry nonnegative.  Refusals raise the library's error
+    classes with its texts, so both can be compared.
+    """
+    table = dict(diagram.items())
+    if not table:
+        raise DomainError("cannot decompose the zero diagram")
+    if any(value < 0 for value in table.values()):
+        raise NotInConeError("diagram has a negative entry")
+    terms = []
+    while table:
+        top = max(i for i, _ in table)
+        degrees = []
+        for i in range(top + 1):
+            column = [j for k, j in table if k == i]
+            if not column:
+                raise NotInConeError(
+                    f"interior zero column: column {i} is zero but column {top} is not"
+                )
+            degrees.append(min(column))
+        degrees = tuple(degrees)
+        if any(b <= a for a, b in zip(degrees, degrees[1:])):
+            raise NotInConeError(f"minimal degrees not strictly increasing: {degrees}")
+        totals = hk_equation_solve(degrees)
+        coefficient = min(table[i, d] / total for i, (d, total) in enumerate(zip(degrees, totals)))
+        for i, (d, total) in enumerate(zip(degrees, totals)):
+            rest = table[i, d] - coefficient * total
+            if rest:
+                table[i, d] = rest
+            else:
+                del table[i, d]
+        terms.append((coefficient, degrees))
+    return terms
 
 
 def column_total_partial(j, k, e):

@@ -22,9 +22,7 @@ from bettibounds import (
     bound_vs_pure,
     decompose,
     exact_lower_bound,
-    from_gaps,
     herzog_kuhl,
-    koszul,
     leading_coefficient,
     pure_shape_check,
     pure_total,
@@ -37,7 +35,14 @@ from bettibounds import (
 )
 from bettibounds.cli import main
 
-from helpers import corpus_diagrams, monomial_corpus, random_pure_combination, subset_numerator
+from helpers import (
+    corpus_diagrams,
+    from_gaps,
+    koszul,
+    monomial_corpus,
+    random_pure_combination,
+    subset_numerator,
+)
 
 
 def criterion(number, name, budget_seconds):

@@ -163,7 +163,7 @@ def genuine_bound_checks(delta, t, diagram):
     codim = diagram.codimension()
     defect = diagram.regularity() + 1 - delta * t
     for j in range(1, codim + 1):
-        yield diagram.total(j), exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
+        yield diagram.totals()[j], exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
 
 
 def test_exact_bound_holds_on_powers_of_the_maximal_ideal():

@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
-from bettibounds import BettiDiagram, MonomialIdeal, herzog_kuhl, koszul
+from bettibounds import BettiDiagram, MonomialIdeal, herzog_kuhl
 from bettibounds.cli import main
+
+from helpers import koszul
 
 
 def run(capsys, *argv):

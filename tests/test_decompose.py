@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from bettibounds import (
     NotInConeError,
     decompose,
     herzog_kuhl,
-    koszul,
     minimalize,
     recompose,
     taylor_betti,
@@ -18,11 +18,18 @@ from bettibounds import (
 )
 
 from helpers import (
+    NOT_EXACT_IDS,
+    NOT_EXACT_VALUES,
     WEAK_MAX_DEGREE_IDEAL,
     corpus_diagrams,
+    greedy_decompose,
     hk_equation_solve,
+    koszul,
+    random_monomial_ideal,
     random_pure_combination,
     random_sparse_diagram,
+    time_limit,
+    upper_koszul_betti,
 )
 
 
@@ -119,6 +126,16 @@ def test_empty_and_invalid_inputs():
     with pytest.raises(DomainError):
         decompose(BettiDiagram())
     assert recompose(Decomposition(())) == BettiDiagram()
+    assert recompose(Decomposition(((2, (0, 1, 3)),))) == 2 * herzog_kuhl((0, 1, 3))
+
+
+@pytest.mark.parametrize("coefficient", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
+def test_recompose_refuses_coefficients_other_than_int_and_fraction(coefficient):
+    with pytest.raises(DomainError) as excinfo:
+        recompose(Decomposition(((coefficient, (0, 1, 3)),)))
+    assert str(excinfo.value) == (
+        f"coefficient must be an int or a Fraction, got {type(coefficient).__name__}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -175,21 +192,78 @@ def bumped_chain(rng, s, n_terms=30):
     return terms
 
 
+def chain_diagram(terms):
+    """Sum of coefficient * pure diagram, summed in a plain dict from the equation solver."""
+    table = {}
+    for coefficient, degrees in terms:
+        for i, total in enumerate(hk_equation_solve(degrees)):
+            table[i, degrees[i]] = table.get((i, degrees[i]), 0) + coefficient * total
+    return BettiDiagram(table)
+
+
 def test_decompose_recovers_long_chains_exactly():
     # each step bumps one degree, so greedy meets each term's own argmin entry
     # and must return the generating terms, in order, with their coefficients
     rng = random.Random(101)
     for s in range(3, 9):
         terms = bumped_chain(rng, s)
-        table = {}
-        for coefficient, degrees in terms:
-            for i, total in enumerate(hk_equation_solve(degrees)):
-                table[i, degrees[i]] = table.get((i, degrees[i]), 0) + coefficient * total
-        diagram = BettiDiagram(table)
+        diagram = chain_diagram(terms)
         decomposition = decompose(diagram)
         assert decomposition.terms == tuple(terms), s
         assert recompose(decomposition) == diagram
         assert validate_bounds(decomposition, diagram).passed
+
+
+def test_a_200_term_chain_on_shared_entries_recomposes_exactly():
+    # every term shares (0, 0), and each entry (i, d_i) is shared by the terms
+    # until the next bump of d_i, so recompose sums up to 200 terms per entry
+    terms = bumped_chain(random.Random(7), 3, n_terms=200)
+    diagram = chain_diagram(terms)
+    decomposition = decompose(diagram)
+    assert decomposition.terms == tuple(terms)
+    assert validate_bounds(decomposition, diagram).passed
+    assert recompose(decomposition) == diagram
+
+
+def seeded_diagrams(rng, count):
+    """Sparse diagrams, integral pure combinations, genuine diagrams of
+    monomial ideals and 30-term chains with s <= 4, in the ratio 2:2:1:1.
+
+    The oracle solves a linear system per step, so longer chains are left to
+    the exact-recovery tests above.
+    """
+    for n in range(count):
+        kind = n % 6
+        if kind in (0, 3):
+            yield random_sparse_diagram(rng, max_i=rng.randint(1, 5), entries=rng.randint(1, 8))
+        elif kind in (1, 4):
+            yield random_pure_combination(rng, s_max=6, max_terms=5)
+        elif kind == 2:
+            yield BettiDiagram(upper_koszul_betti(random_monomial_ideal(rng)))
+        else:
+            yield chain_diagram(bumped_chain(rng, rng.randint(1, 4)))
+
+
+def test_decompose_agrees_with_a_plain_fraction_greedy_oracle():
+    # a faulty update that never zeroes an entry would loop forever; the whole
+    # run takes about 2 s
+    outcomes = Counter()
+    with time_limit(60):
+        for diagram in seeded_diagrams(random.Random(16), 600):
+            try:
+                expected = greedy_decompose(diagram)
+            except (DomainError, NotInConeError) as refusal:
+                with pytest.raises(type(refusal)) as excinfo:
+                    decompose(diagram)
+                assert (type(excinfo.value), str(excinfo.value)) == (type(refusal), str(refusal))
+                outcomes[str(refusal).split(":")[0]] += 1
+                continue
+            decomposition = decompose(diagram)
+            assert list(decomposition) == expected
+            assert recompose(decomposition) == diagram
+            outcomes["decomposed"] += 1
+    assert outcomes["decomposed"] >= 400, outcomes
+    assert outcomes["interior zero column"] and outcomes["minimal degrees not strictly increasing"]
 
 
 def test_validate_bounds_report_content():

@@ -9,19 +9,14 @@ from bettibounds import (
     DomainError,
     FormatError,
     GapColumnError,
-    InvalidSequenceError,
     Poly,
-    check_degree_sequence,
     format_rational,
-    from_gaps,
-    gaps,
     herzog_kuhl,
-    koszul,
     parse_rational,
     seq_leq,
 )
 
-from helpers import dense_scan, random_sparse_diagram
+from helpers import NOT_EXACT_IDS, NOT_EXACT_VALUES, dense_scan, koszul, random_sparse_diagram
 
 
 # -- rational wire format ----------------------------------------------------
@@ -45,6 +40,21 @@ def test_format_rational_lowest_terms():
 
 
 # -- construction and linear structure ----------------------------------------
+
+
+def test_values_are_stored_as_fractions_and_repeated_keys_add():
+    diagram = BettiDiagram([((0, 0), 1), ((0, 0), Fraction(1, 2)), ((1, 1), 2), ((1, 1), -2)])
+    assert diagram.items() == (((0, 0), Fraction(3, 2)),)
+    assert all(type(value) is Fraction for _, value in BettiDiagram({(0, 0): 7}).items())
+
+
+@pytest.mark.parametrize("value", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
+def test_values_other_than_int_and_fraction_are_refused(value):
+    with pytest.raises(FormatError) as excinfo:
+        BettiDiagram({(0, 0): value})
+    assert str(excinfo.value) == (
+        f"diagram value must be an int or a Fraction, got {type(value).__name__}"
+    )
 
 
 def test_zero_entries_are_pruned():
@@ -75,10 +85,10 @@ def test_negative_homological_index_rejected():
 
 
 def test_total_betti_examples():
-    assert herzog_kuhl((0, 1, 2, 4)).total(1) == Fraction(8, 3)
-    assert herzog_kuhl((0, 1, 2, 3, 5, 6)).total(2) == Fraction(15, 2)
+    assert herzog_kuhl((0, 1, 2, 4)).totals()[1] == Fraction(8, 3)
+    assert herzog_kuhl((0, 1, 2, 3, 5, 6)).totals()[2] == Fraction(15, 2)
     diagram = BettiDiagram({(0, 0): 1})
-    assert diagram.total(5) == 0
+    assert diagram.totals() == (1,)  # no column past the projective dimension
 
 
 def test_min_max_degrees():
@@ -136,8 +146,6 @@ def test_stats_match_dense_scan():
     for _ in range(25):
         diagram = random_sparse_diagram(rng)
         scan = dense_scan(diagram)
-        pdim = diagram.projective_dimension()
-        assert [diagram.total(i) for i in range(pdim + 1)] == scan["totals"]
         assert diagram.totals() == tuple(scan["totals"])
         assert diagram.regularity() == scan["regularity"]
         if scan["min_degrees"] is None:
@@ -148,7 +156,7 @@ def test_stats_match_dense_scan():
             assert diagram.max_degrees() == scan["max_degrees"]
 
 
-# -- degree sequences and gaps --------------------------------------------------
+# -- degree sequences --------------------------------------------------------
 
 
 def test_seq_leq():
@@ -157,30 +165,6 @@ def test_seq_leq():
     assert not seq_leq((0, 3, 4), (0, 2, 5))
     with pytest.raises(DomainError):
         seq_leq((0, 1), (0, 1, 2))
-
-
-def test_gaps_and_from_gaps():
-    assert gaps((0, 1, 2, 4)) == (0, 0, 1)
-    assert from_gaps((1, 0, 0), 0) == (0, 2, 3, 4)
-    with pytest.raises(DomainError):
-        from_gaps((-1, 0))
-    with pytest.raises(DomainError):
-        from_gaps((Fraction(1, 2),))
-    with pytest.raises(InvalidSequenceError):
-        check_degree_sequence((0, 0, 1))
-
-
-@given(
-    d0=st.integers(-5, 5),
-    steps=st.lists(st.integers(0, 6), min_size=0, max_size=7),
-)
-def test_gaps_round_trip(d0, steps):
-    degrees = [d0]
-    for step in steps:
-        degrees.append(degrees[-1] + 1 + step)
-    degrees = tuple(degrees)
-    assert from_gaps(gaps(degrees), degrees[0]) == degrees
-    assert all(g >= 0 for g in gaps(degrees))
 
 
 # -- linearity and JSON ----------------------------------------------------------

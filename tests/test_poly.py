@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bettibounds import DomainError, Poly
+from bettibounds import DomainError, FormatError, Poly
+
+from helpers import NOT_EXACT_IDS, NOT_EXACT_VALUES
 
 
 def one_minus_t_power(k):
@@ -15,6 +17,14 @@ def test_construction_prunes_and_merges():
     poly = Poly([(0, 1), (1, 2), (1, -2), (3, Fraction(1, 2))])
     assert poly.items() == ((0, Fraction(1)), (3, Fraction(1, 2)))
     assert not Poly({2: 0})
+    assert all(type(c) is Fraction for _, c in Poly({0: 3, 1: Fraction(1, 2)}).items())
+
+
+@pytest.mark.parametrize("value", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
+def test_coefficients_other_than_int_and_fraction_are_refused(value):
+    with pytest.raises(FormatError) as excinfo:
+        Poly({0: value})
+    assert str(excinfo.value) == f"coefficient must be an int or a Fraction, got {type(value).__name__}"
 
 
 def test_vanishing_order():

@@ -7,9 +7,8 @@ import pytest
 
 from bettibounds import (
     DomainError,
-    from_gaps,
+    check_degree_sequence,
     herzog_kuhl,
-    koszul,
     pure_shape_check,
     pure_total,
     pure_total_partial,
@@ -20,7 +19,7 @@ from bettibounds import (
 from bettibounds.errors import InvalidSequenceError
 from bettibounds.pure import _gradient_violation, _log_gradient, hk_pair
 
-from helpers import column_total_partial, hk_equation_solve, pure_total_split
+from helpers import column_total_partial, from_gaps, hk_equation_solve, koszul, pure_total_split
 
 
 def all_sequences(s_values, d_max, d0=0):
@@ -59,6 +58,8 @@ def test_rejects_non_increasing():
         herzog_kuhl((0, 2, 2))
     with pytest.raises(InvalidSequenceError):
         herzog_kuhl((False, True))  # bool is an int subclass, not a degree
+    with pytest.raises(InvalidSequenceError):
+        check_degree_sequence((0, 0, 1))
 
 
 def test_totals_match_equation_solver():
@@ -117,9 +118,9 @@ def test_pure_total_at_zero_is_binomial():
 
 def test_pure_total_examples():
     assert pure_total(1, (1, 0, 0)) == 6  # column 1 of the pure diagram of (0,2,3,4)
-    assert herzog_kuhl((0, 2, 3, 4)).total(1) == 6
+    assert herzog_kuhl((0, 2, 3, 4)).totals()[1] == 6
     assert pure_total(3, (1, 0, 1)) == 1  # column 3 of the pure diagram of (0,2,3,5)
-    assert herzog_kuhl((0, 2, 3, 5)).total(3) == 1
+    assert herzog_kuhl((0, 2, 3, 5)).totals()[3] == 1
 
 
 def test_pure_total_matches_herzog_kuhl_on_integer_grid():
@@ -158,7 +159,7 @@ def test_narrow_denominator_variant_fails_the_identity():
     e = (1, 0, 1)
     assert narrow_variant(3, e) == 2
     assert pure_total(3, e) == 1
-    assert herzog_kuhl(from_gaps(e, 0)).total(3) == 1
+    assert herzog_kuhl(from_gaps(e, 0)).totals()[3] == 1
 
 
 def test_pure_total_rejects_negative_coordinates():
