@@ -76,13 +76,10 @@ def exact_lower_bound(params: PowerBoundParams) -> Fraction:
 
 
 def leading_coefficient(codim: int, delta: int, defect: int, j: int) -> Fraction:
-    """(b!)^2 * delta^(c-1) / ((j-1+b)! * (c-j+b)!)."""
+    """(b!)^2 * delta^(c-1) / ((j-1+b)! * (c-j+b)!), which is delta^(c-1) over the
+    integer denominator of `_bound_product`."""
     PowerBoundParams(codim, delta, defect, j, 1)
-    b = defect
-    return Fraction(
-        math.factorial(b) ** 2 * delta ** (codim - 1),
-        math.factorial(j - 1 + b) * math.factorial(codim - j + b),
-    )
+    return Fraction(delta ** (codim - 1), _bound_product(codim, defect, j, 0)[1])
 
 
 def leading_bound(params: PowerBoundParams) -> Fraction:

@@ -3,11 +3,15 @@
 The conjectural floor for a codimension-c module is a column total of at
 least C(c, j) in every column j.  The sufficient condition checked here is a
 shape condition on the diagram: generators in degrees <= 0 and regularity at
-most 2*(minimal first-syzygy degree) - 2.  `scan` hunts through pure diagrams
-for sequences that satisfy, or provably violate, the bound, deciding each one
-in integer arithmetic.  Its shape-verify mode visits only the sequences that
-meet the shape condition, the only ones it could report; the "N sequences"
-of every scan summary is the size of the whole domain.
+most 2*(minimal first-syzygy degree) - 2.  One predicate, `pure._shape_holds`,
+decides it on those three statistics, whether `shape_hypothesis` reads them
+from a diagram, `beh_check` reads them lowered by a positive top generator
+degree, or `pure_shape_check` reads them off a degree sequence.  `scan` hunts
+through pure diagrams for sequences that satisfy, or provably violate, the
+bound, deciding each one in integer arithmetic; a reported row's totals are
+built from the integer pairs it was decided on.  Its shape-verify mode visits
+only the sequences that meet the shape condition, the only ones it could
+report; the "N sequences" of every scan summary is the size of the whole domain.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
 from .errors import DomainError, NoFirstSyzygyError
-from .pure import column_totals, herzog_kuhl, hk_pair, pure_shape_check
+from .pure import _shape_holds, herzog_kuhl, hk_pair, pure_shape_check
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
 
@@ -32,9 +36,7 @@ def shape_hypothesis(diagram: BettiDiagram) -> bool:
         raise DomainError("empty diagram")
     if diagram.projective_dimension() < 1:
         raise NoFirstSyzygyError("column 1 is empty; the hypothesis is vacuous")
-    max_deg = diagram.max_degrees()
-    min_deg = diagram.min_degrees()
-    return max_deg[0] <= 0 and diagram.regularity() <= 2 * min_deg[1] - 2
+    return _shape_holds(diagram.max_degrees()[0], diagram.regularity(), diagram.min_degrees()[1])
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ class BehReport:
 def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
     """Compare column totals against beta_0 * C(codim, j) for j = 0..codim.
 
-    The comparison itself is translation-invariant; for the shape hypothesis a
-    diagram generated in positive degrees is first shifted so its top
-    generator sits in degree 0 (noted in the report).  A codim override above
+    The comparison itself is translation-invariant; the shape hypothesis is
+    judged as if a diagram generated in positive degrees were shifted so its
+    top generator sits in degree 0 (noted in the report).  A codim override above
     the projective dimension is refused: codim M <= pd M over a polynomial
     ring, so such a value describes no module.
     """
@@ -111,15 +113,15 @@ def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
     beta0 = totals[0]
     per_j = tuple(ColumnCheck(j, totals[j], beta0 * math.comb(c, j)) for j in range(c + 1))
     notes = []
-    work = diagram
-    if top_generator > 0:
-        work = diagram.translate(-top_generator)
-        notes.append(f"translated degrees by {-top_generator} to place generators in degrees <= 0")
-    try:
-        hypothesis = shape_hypothesis(work)
-    except NoFirstSyzygyError:
+    shift = max(top_generator, 0)
+    if shift:
+        notes.append(f"translated degrees by {-shift} to place generators in degrees <= 0")
+    if diagram.projective_dimension() < 1:
         hypothesis = False
         notes.append("column 1 is empty (free module); shape hypothesis vacuous")
+    else:
+        first = diagram.min_degrees()[1]
+        hypothesis = _shape_holds(top_generator - shift, diagram.regularity() - shift, first - shift)
     return BehReport(c, beta0, per_j, hypothesis, tuple(notes))
 
 
@@ -193,6 +195,11 @@ def shape_sequences(s: int, d_max: int) -> Iterator[Tuple[int, ...]]:
             yield (0, d1) + rest
 
 
+def _totals(pairs: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
+    """Column totals (1, total_1, ..., total_s) from the pairs of columns 1..s."""
+    return (Fraction(1),) + tuple(Fraction(num, den) for num, den in pairs)
+
+
 def _first_below(
     pairs: Sequence[Tuple[int, int]], floor: Sequence[int], multiple: int = 1
 ) -> Optional[int]:
@@ -203,8 +210,8 @@ def _first_below(
     return None
 
 
-def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
-    """Enumerate degree sequences with d_0 = 0 and run the selected check.
+def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
+    """Enumerate degree sequences with d_0 = 0 and s_min <= s <= s_max, and run a check.
 
     * shape-verify: report any shape-satisfying sequence whose raw totals drop
       below C(s, j) (none should exist).  Only the sequences meeting the shape
@@ -215,29 +222,25 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
     * integral-violations: the find-violations test restricted to sequences
       whose pure diagram is integral outright or after doubling.
 
-    Every comparison is made on the integer pairs of `hk_pair`; column totals
-    are built as fractions only for reported rows.  `sequences_checked` is the
-    size of the domain, sum over s of C(d_max, s), in every mode.  An s range
-    reaching outside [1, 8] is refused after reading at most nine distinct
-    values from it, however long it is.
+    Every comparison is made on the integer pairs of `hk_pair`; a reported
+    row's column totals are built as fractions from the pairs it was compared
+    on.  `sequences_checked` is the size of the domain, sum over s of
+    C(d_max, s), in every mode.  An s range reaching outside [1, 8] is
+    refused, quoting at most its first nine values.
     """
-    values = iter(s_range)
-    distinct = set()
-    for s in values:
-        distinct.add(s)
-        if len(distinct) > 8:  # nine distinct integers cannot all lie in [1, 8]
-            break
-    s_values = tuple(sorted(distinct))
-    if not s_values:
+    if s_min > s_max:
         raise DomainError("empty s range")
-    if s_values[0] < 1 or s_values[-1] > 8:
-        shown = s_values if next(values, None) is None else f"({', '.join(map(str, s_values))}, ...)"
+    if s_min < 1 or s_max > 8:
+        shown = tuple(range(s_min, min(s_max, s_min + 8) + 1))
+        if s_max - s_min > 8:
+            shown = f"({', '.join(map(str, shown))}, ...)"
         raise DomainError(f"s range must lie in [1, 8], got {shown}")
     if not 1 <= d_max <= 20:
         raise DomainError(f"d_max must lie in [1, 20], got {d_max}")
     if mode not in SCAN_MODES:
         raise DomainError(f"unknown mode {mode!r}; choose from {SCAN_MODES}")
 
+    s_values = tuple(range(s_min, s_max + 1))
     rows = []
     checked = 0
     for s in s_values:
@@ -246,9 +249,10 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
         columns = range(1, s + 1)
         if mode == "shape-verify":
             for degrees in shape_sequences(s, d_max):
-                raw = _first_below([hk_pair(degrees, j) for j in columns], floor)
+                pairs = [hk_pair(degrees, j) for j in columns]
+                raw = _first_below(pairs, floor)
                 if raw is not None:
-                    rows.append(ScanRow(degrees, s, True, False, raw, column_totals(degrees)))
+                    rows.append(ScanRow(degrees, s, True, False, raw, _totals(pairs)))
             continue
         for upper in combinations(range(1, d_max + 1), s):
             degrees = (0,) + upper
@@ -266,7 +270,7 @@ def scan(s_range: Iterable[int], d_max: int, mode: str) -> ScanReport:
                     pure_shape_check(degrees),
                     _first_below(pairs, floor) is None,
                     scaled,
-                    column_totals(degrees),
+                    _totals(pairs),
                 )
             )
     return ScanReport(mode, s_values, d_max, checked, tuple(rows))

@@ -119,7 +119,7 @@ def _cmd_check_pure(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = scan(range(args.s_min, args.s_max + 1), args.d_max, args.mode)
+    report = scan(args.s_min, args.s_max, args.d_max, args.mode)
     print(report.to_csv())
     print(report.summary(), file=sys.stderr)
     return EXIT_FINDING if report.findings else EXIT_OK

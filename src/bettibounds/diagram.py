@@ -21,7 +21,7 @@ from .errors import (
     GapColumnError,
     InvalidSequenceError,
 )
-from .poly import Poly
+from .poly import Poly, exact_value
 
 DegreeSequence = Tuple[int, ...]
 
@@ -89,20 +89,15 @@ class BettiDiagram:
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for key, raw in items:
-                i, j = key
+                try:
+                    i, j = key
+                except (TypeError, ValueError):  # not iterable, or not of length two
+                    i = j = None
                 if type(i) is not int or type(j) is not int:  # bool is an int subclass
                     raise FormatError(f"diagram key must be a pair of integers, got {key!r}")
                 if i < 0:
                     raise FormatError(f"homological index must be >= 0, got {i}")
-                kind = type(raw)  # exact types: bool is an int, float a binary fraction
-                if kind is int:
-                    value = Fraction(raw)
-                elif kind is Fraction:
-                    value = raw
-                else:
-                    raise FormatError(
-                        f"diagram value must be an int or a Fraction, got {kind.__name__}"
-                    )
+                value = exact_value(raw, "diagram value")
                 if (i, j) in table:
                     value += table[i, j]
                 if value:
@@ -168,10 +163,6 @@ class BettiDiagram:
         return self._wrap({k: factor * v for k, v in self._entries.items()})
 
     __rmul__ = __mul__
-
-    def translate(self, shift: int) -> "BettiDiagram":
-        """Shift every internal degree j by `shift`."""
-        return self._wrap({(i, j + shift): v for (i, j), v in self._entries.items()})
 
     # -- derived statistics --------------------------------------------------
 

@@ -7,9 +7,9 @@ Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
 Each strand is taken on the smaller of two exact complexes:
 
 * a strand of one cell has no boundary and gives beta = 1 at its size;
-* when 2^|supp m| is below the strand's cell count, the upper Koszul complex
-  K^m = {F subset of supp m : x^(m - F) in I} is used instead, with
-  beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
+* when m != 0 and 2^|supp m| is below the strand's cell count, the upper
+  Koszul complex K^m = {F subset of supp m : x^(m - F) in I} is used instead,
+  with beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
   Commutative Algebra, Thm 1.34);
 * otherwise the Taylor strand itself.
 
@@ -184,10 +184,12 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     betti: dict[tuple[int, int], int] = {}
     for multidegree, masks in strands.items():
         degree = sum(multidegree)
+        support = sum(1 for x in multidegree if x)
         if len(masks) == 1:
             # a lone cell has no boundary
             homology, shift = {bin(masks[0]).count("1"): 1}, 0
-        elif 1 << sum(1 for x in multidegree if x) < len(masks):
+        elif support and 1 << support < len(masks):
+            # at m = 0, two cells mean the unit ideal, whose Taylor strand is acyclic
             # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1;
             # the masks are increasing, so the last is the union of the strand
             top = masks[-1]

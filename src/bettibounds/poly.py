@@ -15,6 +15,16 @@ from itertools import count
 from .errors import DomainError, FormatError
 
 
+def exact_value(raw, noun: str) -> Fraction:
+    """raw as a Fraction if its type is exactly int or Fraction; FormatError naming `noun` if not."""
+    kind = type(raw)  # exact types: bool is an int, float a binary fraction
+    if kind is Fraction:
+        return raw
+    if kind is int:
+        return Fraction(raw)
+    raise FormatError(f"{noun} must be an int or a Fraction, got {kind.__name__}")
+
+
 class Poly:
     """Finitely supported map exponent -> nonzero rational coefficient."""
 
@@ -25,17 +35,9 @@ class Poly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, raw in items:
-                if not isinstance(exp, int):
-                    raise TypeError(f"exponent must be an integer, got {exp!r}")
-                kind = type(raw)  # exact types: bool is an int, float a binary fraction
-                if kind is int:
-                    coeff = Fraction(raw)
-                elif kind is Fraction:
-                    coeff = raw
-                else:
-                    raise FormatError(
-                        f"coefficient must be an int or a Fraction, got {kind.__name__}"
-                    )
+                if type(exp) is not int:  # bool is an int subclass
+                    raise FormatError(f"exponent must be an integer, got {exp!r}")
+                coeff = exact_value(raw, "coefficient")
                 if exp in data:
                     coeff += data[exp]
                 if coeff:

@@ -62,19 +62,15 @@ def hk_pair(p: Sequence[int], j: int) -> Tuple[int, int]:
     return num, den
 
 
-def _hk_total(p: Sequence[int], j: int) -> Fraction:
-    return Fraction(*hk_pair(p, j))
-
-
-def column_totals(degrees: Sequence[int]) -> Tuple[Fraction, ...]:
-    """Column totals (1, total_1, ..., total_s) of a strictly increasing integer sequence."""
-    return tuple(_hk_total(degrees, j) for j in range(len(degrees)))
-
-
 def herzog_kuhl(degrees: Sequence[int]) -> BettiDiagram:
     """Normalized pure diagram of a degree sequence via the Herzog-Kuhl product."""
     degrees = check_degree_sequence(degrees)
-    return BettiDiagram(zip(enumerate(degrees), column_totals(degrees)))
+    return BettiDiagram(((j, d), Fraction(*hk_pair(degrees, j))) for j, d in enumerate(degrees))
+
+
+def _shape_holds(top: int, reg: int, first: int) -> bool:
+    """The shape condition on (top generator degree, regularity, minimal first-syzygy degree)."""
+    return top <= 0 and reg <= 2 * first - 2
 
 
 def pure_shape_check(degrees: Sequence[int]) -> bool:
@@ -85,11 +81,9 @@ def pure_shape_check(degrees: Sequence[int]) -> bool:
     """
     degrees = check_degree_sequence(degrees)
     s = len(degrees) - 1
-    if degrees[0] > 0:
-        return False
     if s == 0:
-        return True
-    return degrees[s] - s <= 2 * degrees[1] - 2
+        return degrees[0] <= 0
+    return _shape_holds(degrees[0], degrees[s] - s, degrees[1])
 
 
 # -- gap coordinates -------------------------------------------------------------
@@ -129,7 +123,7 @@ def pure_total(j: int, e: Sequence) -> Fraction:
     _check_column(j, len(e))
     if any(x < 0 for x in e):
         raise DomainError(f"gap vector must be nonnegative, got {e}")
-    return _hk_total(_positions(e)[0], j)
+    return Fraction(*hk_pair(_positions(e)[0], j))
 
 
 def _log_gradient(p: Sequence[int], j: int) -> Tuple[List[int], int]:

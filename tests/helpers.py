@@ -276,9 +276,13 @@ def upper_koszul_betti(ideal):
     beta_{i,m}(S/I) = dim reduced H_{i-2}(K^m) for i >= 1 (Miller-Sturmfels,
     Combinatorial Commutative Algebra, Thm 1.34).  Only lcms of generators
     can carry Betti numbers, so m runs over the LCM lattice, built by closing
-    the generators under lcm; beta_{0,0} = 1 is added by hand.
+    the generators under lcm; beta_{0,0} = 1 is added by hand.  The formula
+    needs m != 0, which holds unless I is the unit ideal, whose S/S = 0 has
+    no Betti numbers.
     """
     gens = [tuple(g) for g in ideal.generators]
+    if (0,) * ideal.nvars in gens:
+        return {}
     lattice = set(gens)
     frontier = lattice
     while frontier:

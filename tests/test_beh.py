@@ -83,7 +83,7 @@ def test_beh_check_koszul_equality():
 
 
 def test_beh_check_translates_positive_generators():
-    shifted = koszul(3).translate(2)
+    shifted = BettiDiagram({(i, i + 2): math.comb(3, i) for i in range(4)})
     report = beh_check(shifted)
     assert report.hypothesis_met
     assert report.notes and "translated" in report.notes[0]
@@ -124,29 +124,41 @@ def test_beh_report_json():
 
 def test_scan_guard_rails():
     with pytest.raises(DomainError):
-        scan(range(0, 3), 10, "shape-verify")
+        scan(1, 2, 25, "shape-verify")
     with pytest.raises(DomainError):
-        scan(range(1, 10), 10, "shape-verify")
-    with pytest.raises(DomainError):
-        scan(range(1, 3), 25, "shape-verify")
-    with pytest.raises(DomainError):
-        scan(range(1, 3), 10, "bogus")
+        scan(1, 2, 10, "bogus")
+
+
+@pytest.mark.parametrize(
+    "s_min, s_max, message",
+    [
+        (0, 2, "s range must lie in [1, 8], got (0, 1, 2)"),
+        (1, 9, "s range must lie in [1, 8], got (1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+        (9, 9, "s range must lie in [1, 8], got (9,)"),
+        (1, 30_000_000, "s range must lie in [1, 8], got (1, 2, 3, 4, 5, 6, 7, 8, 9, ...)"),
+        (3, 2, "empty s range"),
+    ],
+)
+def test_scan_range_refusal_texts(s_min, s_max, message):
+    with pytest.raises(DomainError) as excinfo:
+        scan(s_min, s_max, 10, "shape-verify")
+    assert str(excinfo.value) == message
 
 
 def test_scan_shape_verify_small():
-    report = scan(range(1, 5), 8, "shape-verify")
+    report = scan(1, 4, 8, "shape-verify")
     assert report.findings == 0
     assert report.sequences_checked == sum(math.comb(8, s) for s in range(1, 5))
     assert report.to_csv() == CSV_HEADER
 
 
 def test_scan_find_violations_excludes_codim_two():
-    report = scan(range(1, 3), 10, "find-violations")
+    report = scan(1, 2, 10, "find-violations")
     assert report.findings == 0
 
 
 def test_scan_find_violations_lists_known_violator():
-    report = scan([5], 8, "find-violations")
+    report = scan(5, 5, 8, "find-violations")
     by_degrees = {row.degrees: row for row in report.rows}
     row = by_degrees[(0, 1, 2, 3, 5, 6)]
     assert row.betti_totals == (1, Fraction(9, 2), Fraction(15, 2), 5, Fraction(3, 2), Fraction(1, 2))
@@ -157,16 +169,16 @@ def test_scan_find_violations_lists_known_violator():
 
 
 def test_scan_integral_violations_includes_half_integral_class():
-    report = scan([5], 8, "integral-violations")
+    report = scan(5, 5, 8, "integral-violations")
     degrees = {row.degrees for row in report.rows}
     assert (0, 1, 2, 3, 5, 6) in degrees
     # every reported class is integral after doubling at most
-    find_all = {row.degrees for row in scan([5], 8, "find-violations").rows}
+    find_all = {row.degrees for row in scan(5, 5, 8, "find-violations").rows}
     assert degrees <= find_all
 
 
 def test_scan_csv_format():
-    report = scan([5], 8, "find-violations")
+    report = scan(5, 5, 8, "find-violations")
     lines = report.to_csv().splitlines()
     assert lines[0] == CSV_HEADER
     target = next(line for line in lines if line.startswith("0,1,2,3,5,6;"))
@@ -174,8 +186,8 @@ def test_scan_csv_format():
 
 
 def test_scan_deterministic():
-    first = scan(range(1, 5), 9, "find-violations")
-    second = scan(range(1, 5), 9, "find-violations")
+    first = scan(1, 4, 9, "find-violations")
+    second = scan(1, 4, 9, "find-violations")
     assert first == second
 
 

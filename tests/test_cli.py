@@ -202,6 +202,14 @@ def test_monomial_betti_family_and_file(tmp_path, capsys):
     assert BettiDiagram.from_json(out) == BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_monomial_betti_of_the_unit_ideal_is_empty(tmp_path, capsys, nvars):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"nvars": nvars, "generators": [[0] * nvars]}), encoding="utf-8")
+    code, out, err = run(capsys, "monomial-betti", str(path))
+    assert (code, out, err) == (0, "(empty Betti diagram)\n", "")
+
+
 @pytest.mark.parametrize(
     "family",
     [

@@ -215,6 +215,13 @@ def test_constructor_rejects_boolean_keys():
         BettiDiagram({(0, True): 1})
 
 
+@pytest.mark.parametrize("key", [(0,), (0, 0, 0), 5], ids=["one", "three", "int"])
+def test_constructor_refuses_keys_that_are_not_pairs(key):
+    with pytest.raises(FormatError) as excinfo:
+        BettiDiagram({key: 1})
+    assert str(excinfo.value) == f"diagram key must be a pair of integers, got {key!r}"
+
+
 def test_table_rendering():
     text = herzog_kuhl((0, 1, 2, 4)).table()
     lines = text.splitlines()
@@ -241,10 +248,3 @@ def test_json_reader_leaves_the_index_check_to_the_constructor():
     for index in ("1.5", '"0"', "[0]", "{}", "null"):
         with pytest.raises(FormatError, match="diagram key must be a pair of integers"):
             BettiDiagram.from_json(f'{{"entries": [{{"i": {index}, "j": 0, "value": "1"}}]}}')
-
-
-def test_translate():
-    diagram = BettiDiagram({(0, 1): 1, (1, 3): 2})
-    shifted = diagram.translate(-1)
-    assert shifted == BettiDiagram({(0, 0): 1, (1, 2): 2})
-    assert shifted.translate(1) == diagram

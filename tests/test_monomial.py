@@ -242,6 +242,15 @@ def test_taylor_betti_of_principal_ideal():
     assert taylor_betti(ideal) == BettiDiagram({(0, 0): 1, (1, 3): 1})
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_unit_ideal_has_the_empty_diagram(nvars):
+    # S/S = 0: the zero vector generates S, and no strand carries homology
+    ideal = minimalize(nvars, [[0] * nvars])
+    assert taylor_betti(ideal) == BettiDiagram()
+    assert upper_koszul_betti(ideal) == {}
+    assert taylor_oracle_betti(ideal) == {}
+
+
 def test_power_of_maximal_quotients_are_pure():
     # the quotient by m^d in two variables resolves purely at degrees (0, d, d+1)
     # with column totals (1, d+1, d); in three variables m^2 gives (1, 6, 8, 3)

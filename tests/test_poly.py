@@ -27,6 +27,13 @@ def test_coefficients_other_than_int_and_fraction_are_refused(value):
     assert str(excinfo.value) == f"coefficient must be an int or a Fraction, got {type(value).__name__}"
 
 
+@pytest.mark.parametrize("exponent", [True, 1.5], ids=["bool", "float"])
+def test_exponents_other_than_int_are_refused(exponent):
+    with pytest.raises(FormatError) as excinfo:
+        Poly({exponent: 1})
+    assert str(excinfo.value) == f"exponent must be an integer, got {exponent!r}"
+
+
 def test_vanishing_order():
     # 2 - 3t + t^3 = (1-t)^2 (2+t)
     assert Poly({0: 2, 1: -3, 3: 1}).vanishing_order_at_one() == 2

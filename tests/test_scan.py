@@ -45,7 +45,7 @@ def test_shape_verify_examines_exactly_the_shape_set(monkeypatch):
     monkeypatch.setattr(beh, "hk_pair", recording)
     for d_max in (5, 12, 20):
         examined.clear()
-        report = scan(range(1, 9), d_max, "shape-verify")
+        report = scan(1, 8, d_max, "shape-verify")
         assert examined == [
             d for s in range(1, 9) for d in _domain(s, d_max) if d[s] - s <= 2 * d[1] - 2
         ]
@@ -88,10 +88,10 @@ def test_scan_rows_and_count_match_brute_force(mode):
     widest = {s: _brute_rows(mode, s, 10) for s in range(1, 6)}
     for s in range(1, 6):
         for d_max in range(1, 11):
-            report = scan([s], d_max, mode)
+            report = scan(s, s, d_max, mode)
             assert report.sequences_checked == len(_domain(s, d_max))
             assert _rows(report) == [r for r in widest[s] if r[0][-1] <= d_max], (s, d_max)
-    report = scan(range(1, 6), 10, mode)
+    report = scan(1, 5, 10, mode)
     assert report.sequences_checked == sum(math.comb(10, s) for s in range(1, 6))
     assert _rows(report) == [r for s in range(1, 6) for r in widest[s]]
     if mode != "shape-verify":
