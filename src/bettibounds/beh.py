@@ -9,9 +9,13 @@ from a diagram, `beh_check` reads them lowered by a positive top generator
 degree, or `pure_shape_check` reads them off a degree sequence.  `scan` hunts
 through pure diagrams for sequences that satisfy, or provably violate, the
 bound, deciding each one in integer arithmetic; a reported row's totals are
-built from the integer pairs it was decided on.  Its shape-verify mode visits
-only the sequences that meet the shape condition, the only ones it could
-report; the "N sequences" of every scan summary is the size of the whole domain.
+built from the integer pairs it was decided on.  It walks the sequences by
+prefix and last degree: each prefix d_1 < ... < d_{s-1} builds its
+Herzog-Kuhl products once, and each last degree d_s then costs O(s).  The
+pairs it compares equal those of `pure.hk_pair`, the one definition of the
+product; a test pins them to it.  Its shape-verify mode visits only the
+sequences that meet the shape condition, the only ones it could report; the
+"N sequences" of every scan summary is the size of the whole domain.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
 from .errors import DomainError, NoFirstSyzygyError
-from .pure import _shape_holds, herzog_kuhl, hk_pair, pure_shape_check
+from .pure import _shape_holds, herzog_kuhl, pure_shape_check
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
+_SCAN_D_MAX = 20
 
 
 def shape_hypothesis(diagram: BettiDiagram) -> bool:
@@ -182,17 +188,45 @@ class ScanReport:
         )
 
 
-def shape_sequences(s: int, d_max: int) -> Iterator[Tuple[int, ...]]:
-    """Degree sequences 0 = d_0 < d_1 < ... < d_s <= d_max with d_s - s <= 2*d_1 - 2.
+# Row d, entry e: the factor a degree e brings to the Herzog-Kuhl denominator
+# of the column at degree d when d_0 = 0, that is |e - d|, or 1 for e = 0 and
+# for e = d, which stay out of that product; degrees up to the guard rail.
+_DEN_FACTORS = tuple(
+    tuple(1 if e in (0, d) else abs(e - d) for e in range(_SCAN_D_MAX + 1))
+    for d in range(_SCAN_D_MAX + 1)
+)
 
-    Lexicographic, like `combinations`: for each d_1, the rest is chosen from
-    (d_1, min(d_max, s + 2*d_1 - 2)].  At s = 1 that interval is empty and the
-    condition d_1 >= 1 always holds, so every sequence is produced.
+
+def _walk(
+    s: int, d_max: int, shape_only: bool
+) -> Iterator[Tuple[Tuple[int, ...], int, List[Tuple[int, int]]]]:
+    """Each sequence (0, *prefix, x) of length s + 1 with x <= d_max, and its column pairs.
+
+    Lexicographic, like `combinations`.  A prefix d_1 < ... < d_{s-1} builds
+    P = d_1...d_{s-1}, a_j = P/d_j and b_j = prod over i != j of |d_i - d_j|
+    once, in O(s^2), reading the b_j and each last degree's product off
+    `_DEN_FACTORS`; each last degree x then costs O(s): column j < s is
+    (a_j*x, b_j*(x - d_j)) and column s is (P, prod of (x - d_i)), exactly the
+    unreduced pairs `pure.hk_pair` gives for columns 1..s.  With shape_only,
+    x stops at s + 2*d_1 - 2 and only prefixes below that bound are built, so
+    exactly the sequences meeting the shape condition are walked; at s = 1
+    that condition always holds.
     """
+    if s == 1:
+        for x in range(1, d_max + 1):
+            yield (), x, [(1, 1)]
+        return
     for d1 in range(1, d_max - s + 2):
-        top = min(d_max, s + 2 * d1 - 2)
-        for rest in combinations(range(d1 + 1, top + 1), s - 1):
-            yield (0, d1) + rest
+        top = min(d_max, s + 2 * d1 - 2) if shape_only else d_max
+        for rest in combinations(range(d1 + 1, top), s - 2):
+            prefix = (d1, *rest)
+            factors = itemgetter(0, *prefix)
+            product = math.prod(prefix)
+            columns = [(product // d, math.prod(factors(_DEN_FACTORS[d])), d) for d in prefix]
+            for x in range(prefix[-1] + 1, top + 1):
+                pairs = [(a * x, b * (x - d)) for a, b, d in columns]
+                pairs.append((product, math.prod(factors(_DEN_FACTORS[x]))))
+                yield prefix, x, pairs
 
 
 def _totals(pairs: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
@@ -215,14 +249,17 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
 
     * shape-verify: report any shape-satisfying sequence whose raw totals drop
       below C(s, j) (none should exist).  Only the sequences meeting the shape
-      condition are visited (`shape_sequences`).
+      condition are visited.
     * find-violations: report sequences whose smallest integral multiple of
       the pure diagram violates the binomial floor; these rays carry no
       diagram of any module satisfying the bound.
     * integral-violations: the find-violations test restricted to sequences
-      whose pure diagram is integral outright or after doubling.
+      whose pure diagram is integral outright or after doubling; the lcm of
+      the reduced denominators stops as soon as it exceeds 2.
 
-    Every comparison is made on the integer pairs of `hk_pair`; a reported
+    `_walk` builds each prefix's products once and each sequence's pairs in
+    O(s) from them; they equal the unreduced pairs of `pure.hk_pair`, which a
+    test asserts.  Every comparison is made on those integer pairs; a reported
     row's column totals are built as fractions from the pairs it was compared
     on.  `sequences_checked` is the size of the domain, sum over s of
     C(d_max, s), in every mode.  An s range reaching outside [1, 8] is
@@ -235,42 +272,42 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
         if s_max - s_min > 8:
             shown = f"({', '.join(map(str, shown))}, ...)"
         raise DomainError(f"s range must lie in [1, 8], got {shown}")
-    if not 1 <= d_max <= 20:
-        raise DomainError(f"d_max must lie in [1, 20], got {d_max}")
+    if not 1 <= d_max <= _SCAN_D_MAX:
+        raise DomainError(f"d_max must lie in [1, {_SCAN_D_MAX}], got {d_max}")
     if mode not in SCAN_MODES:
         raise DomainError(f"unknown mode {mode!r}; choose from {SCAN_MODES}")
 
     s_values = tuple(range(s_min, s_max + 1))
+    integral = mode == "integral-violations"
     rows = []
     checked = 0
     for s in s_values:
         checked += math.comb(d_max, s)
         floor = [math.comb(s, j) for j in range(s + 1)]
-        columns = range(1, s + 1)
         if mode == "shape-verify":
-            for degrees in shape_sequences(s, d_max):
-                pairs = [hk_pair(degrees, j) for j in columns]
+            for prefix, x, pairs in _walk(s, d_max, True):
                 raw = _first_below(pairs, floor)
                 if raw is not None:
-                    rows.append(ScanRow(degrees, s, True, False, raw, _totals(pairs)))
+                    rows.append(ScanRow((0, *prefix, x), s, True, False, raw, _totals(pairs)))
             continue
-        for upper in combinations(range(1, d_max + 1), s):
-            degrees = (0,) + upper
-            pairs = [hk_pair(degrees, j) for j in columns]
-            multiple = math.lcm(*(den // math.gcd(num, den) for num, den in pairs))
-            if mode == "integral-violations" and multiple > 2:
-                continue
-            scaled = _first_below(pairs, floor, multiple)
-            if scaled is None:
-                continue
-            rows.append(
-                ScanRow(
-                    degrees,
-                    s,
-                    pure_shape_check(degrees),
-                    _first_below(pairs, floor) is None,
-                    scaled,
-                    _totals(pairs),
-                )
-            )
+        for prefix, x, pairs in _walk(s, d_max, False):
+            multiple = 1
+            for num, den in pairs:
+                multiple = math.lcm(multiple, den // math.gcd(num, den))
+                if integral and multiple > 2:
+                    break
+            else:
+                scaled = _first_below(pairs, floor, multiple)
+                if scaled is not None:
+                    degrees = (0, *prefix, x)
+                    rows.append(
+                        ScanRow(
+                            degrees,
+                            s,
+                            pure_shape_check(degrees),
+                            _first_below(pairs, floor) is None,
+                            scaled,
+                            _totals(pairs),
+                        )
+                    )
     return ScanReport(mode, s_values, d_max, checked, tuple(rows))

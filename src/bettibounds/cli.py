@@ -182,7 +182,15 @@ def _add_format(parser):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError where argparse prints usage and exits; subparsers inherit it."""
+    """Raises UsageError where argparse prints usage and exits; subparsers inherit it.
+
+    A comma list of integers led by a negative one, such as `-1,0,2`, is read
+    as a value like `-1` is, not as an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message):
         raise UsageError(message)

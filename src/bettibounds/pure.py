@@ -6,15 +6,18 @@ forces every other entry through the Herzog-Kuhl product
 
     total_j = prod over i not in {0, j} of (d_i - d_0) / |d_i - d_j|.
 
-One integer kernel evaluates this product, as an unreduced pair of
-integers, for pure diagrams, for the comparisons of `beh.scan` and for column
-totals in gap coordinates e_i = d_i - d_{i-1} - 1: a rational gap vector is
-first cleared to integer positions, which leaves the totals unchanged.  A
-second integer kernel gives the logarithmic gradient at the same positions.
-In gap coordinates the column total is a rational function of e with no poles
-on the closed nonnegative orthant, which makes sign questions about its
-partial derivatives exact finite computations.  The verify_* functions sample
-seeded rational points and check those signs, plus the binomial floor
+One integer kernel, `hk_pair`, evaluates this product as an unreduced pair
+of integers, for pure diagrams and for column totals in gap coordinates
+e_i = d_i - d_{i-1} - 1: a rational gap vector is first cleared to integer
+positions, which leaves the totals unchanged.  It is also the definition
+`beh.scan` is held to: the scan builds a prefix d_1 < ... < d_{s-1}'s products
+once and each last degree's pairs from them in O(s), and a test asserts those
+pairs equal this kernel's, as unreduced integers.  A second integer kernel
+gives the logarithmic gradient at the same positions.  In gap coordinates the
+column total is a rational function of e with no poles on the closed
+nonnegative orthant, which makes sign questions about its partial
+derivatives exact finite computations.  The verify_* functions sample seeded
+rational points and check those signs, plus the binomial floor
 total_j >= C(s, j) on the region where the first gap dominates the rest.
 Every sampled denominator divides 64, so each point is cleared to integer
 positions and every sign is decided on integers: the log gradient as integer

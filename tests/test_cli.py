@@ -52,6 +52,32 @@ def test_check_pure_pass(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("command, degrees", [("pure", "-1,0,2"), ("check-pure", "-3,-2,8")])
+def test_a_negative_leading_degree_is_a_value_not_an_option(capsys, command, degrees):
+    spaced = run(capsys, command, "--degrees", degrees)
+    joined = run(capsys, command, f"--degrees={degrees}")
+    assert spaced == joined
+    assert spaced[0] in (0, 1) and spaced[1] and spaced[2] == ""
+
+
+def test_a_negative_gap_tail_reaches_the_gap_check(capsys):
+    code, out, err = run(
+        capsys, "asymptotic", "--codim", "3", "--delta", "1", "--defect", "0", "--j", "1",
+        "--t-max", "2", "--e-tail", "-1,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("error: domain: ", "error: format: "))
+
+
+def test_an_option_where_a_value_belongs_is_still_a_usage_error(capsys):
+    code, out, err = run(capsys, "pure", "--degrees", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: usage: argument --degrees: expected one argument\n"
+
+
 def test_check_beh_generic_2x3(tmp_path, capsys):
     path = tmp_path / "generic.json"
     path.write_text(GENERIC_2X3, encoding="utf-8")

@@ -1,16 +1,20 @@
 """What `scan` visits and what it reports, against oracles of its own.
 
 The shape set is rebuilt by filtering every sequence, and the rows by a brute
-force over `helpers.hk_equation_solve`; neither calls library code.
+force over `helpers.hk_equation_solve`; neither calls library code.  The
+pairs of the walk `scan` runs on are held to `pure.hk_pair`, the one
+definition of the Herzog-Kuhl product.
 """
 
+import functools
 import math
 from itertools import combinations
 
 import pytest
 
 from bettibounds import beh, scan
-from bettibounds.beh import SCAN_MODES, shape_sequences
+from bettibounds.beh import SCAN_MODES, _walk
+from bettibounds.pure import hk_pair
 
 from helpers import hk_equation_solve
 
@@ -19,15 +23,20 @@ def _domain(s, d_max):
     return [(0,) + upper for upper in combinations(range(1, d_max + 1), s)]
 
 
+def _walked(s, d_max, shape_only):
+    return [(0, *prefix, x) for prefix, x, _ in _walk(s, d_max, shape_only)]
+
+
 def test_shape_sequences_are_exactly_the_shape_set():
     sizes = {}
     for d_max in range(1, 21):
         for s in range(1, 9):
             expected = [d for d in _domain(s, d_max) if d[s] - s <= 2 * d[1] - 2]
-            assert list(shape_sequences(s, d_max)) == expected, (s, d_max)
+            assert _walked(s, d_max, True) == expected, (s, d_max)
             sizes[s, d_max] = len(expected)
     # the shape set is 5% of the guard rail, and not empty at any s
     assert sum(sizes[s, 20] for s in range(1, 9)) == 13221
+    assert sum(math.comb(20, s) for s in range(1, 9)) == 263949
     assert all(sizes[s, 20] for s in range(1, 9))
     # at s = 1 the condition d_1 >= 1 always holds
     assert all(sizes[1, d] == d for d in range(1, 21))
@@ -35,14 +44,14 @@ def test_shape_sequences_are_exactly_the_shape_set():
 
 def test_shape_verify_examines_exactly_the_shape_set(monkeypatch):
     examined = []
-    kernel = beh.hk_pair
+    walk = beh._walk
 
-    def recording(degrees, j):
-        if not examined or examined[-1] != degrees:
-            examined.append(degrees)
-        return kernel(degrees, j)
+    def recording(s, d_max, shape_only):
+        for prefix, x, pairs in walk(s, d_max, shape_only):
+            examined.append((0, *prefix, x))
+            yield prefix, x, pairs
 
-    monkeypatch.setattr(beh, "hk_pair", recording)
+    monkeypatch.setattr(beh, "_walk", recording)
     for d_max in (5, 12, 20):
         examined.clear()
         report = scan(1, 8, d_max, "shape-verify")
@@ -51,17 +60,37 @@ def test_shape_verify_examines_exactly_the_shape_set(monkeypatch):
         ]
         assert report.sequences_checked == sum(math.comb(d_max, s) for s in range(1, 9))
         assert report.findings == 0
+    assert len(examined) == 13221
+    assert report.sequences_checked == 263949
+
+
+@pytest.mark.parametrize("shape_only", [False, True])
+def test_walk_pairs_are_the_kernel_pairs(shape_only):
+    for d_max in range(1, 13):
+        for s in range(1, 7):
+            walked = list(_walk(s, d_max, shape_only))
+            if not shape_only:
+                assert [(0, *prefix, x) for prefix, x, _ in walked] == _domain(s, d_max)
+            for prefix, x, pairs in walked:
+                degrees = (0, *prefix, x)
+                # unreduced: the same integers, not just the same fractions
+                assert pairs == [hk_pair(degrees, j) for j in range(1, s + 1)], degrees
 
 
 def _first_below(values, s):
     return next((j for j in range(s + 1) if values[j] < math.comb(s, j)), None)
 
 
+@functools.lru_cache(maxsize=None)
+def _solved(degrees):
+    return hk_equation_solve(degrees)
+
+
 def _brute_rows(mode, s, d_max):
     """(degrees, s, shape, beh_pass, first_violating_j, totals) of each finding."""
     rows = []
     for degrees in _domain(s, d_max):
-        totals = hk_equation_solve(degrees)
+        totals = _solved(degrees)
         shape = degrees[s] - s <= 2 * degrees[1] - 2
         raw = _first_below(totals, s)
         if mode == "shape-verify":
@@ -83,16 +112,29 @@ def _rows(report):
     ]
 
 
+def _check_against_brute_force(mode, s_values, d_max):
+    widest = {s: _brute_rows(mode, s, d_max) for s in s_values}
+    for s in s_values:
+        for d in range(1, d_max + 1):
+            report = scan(s, s, d, mode)
+            assert report.sequences_checked == len(_domain(s, d))
+            assert _rows(report) == [r for r in widest[s] if r[0][-1] <= d], (s, d)
+    report = scan(s_values[0], s_values[-1], d_max, mode)
+    assert report.sequences_checked == sum(math.comb(d_max, s) for s in s_values)
+    assert _rows(report) == [r for s in s_values for r in widest[s]]
+    return report
+
+
 @pytest.mark.parametrize("mode", SCAN_MODES)
 def test_scan_rows_and_count_match_brute_force(mode):
-    widest = {s: _brute_rows(mode, s, 10) for s in range(1, 6)}
-    for s in range(1, 6):
-        for d_max in range(1, 11):
-            report = scan(s, s, d_max, mode)
-            assert report.sequences_checked == len(_domain(s, d_max))
-            assert _rows(report) == [r for r in widest[s] if r[0][-1] <= d_max], (s, d_max)
-    report = scan(1, 5, 10, mode)
-    assert report.sequences_checked == sum(math.comb(10, s) for s in range(1, 6))
-    assert _rows(report) == [r for s in range(1, 6) for r in widest[s]]
+    report = _check_against_brute_force(mode, range(1, 6), 10)
+    if mode != "shape-verify":
+        assert report.rows
+
+
+@pytest.mark.parametrize("mode", SCAN_MODES)
+def test_scan_rows_on_long_prefixes_match_brute_force(mode):
+    # s = 6..8 exercises the walk's prefixes of five to seven degrees
+    report = _check_against_brute_force(mode, range(6, 9), 11)
     if mode != "shape-verify":
         assert report.rows
