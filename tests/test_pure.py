@@ -17,7 +17,8 @@ from bettibounds import (
     verify_inward_shift_monotone,
 )
 from bettibounds.errors import InvalidSequenceError
-from bettibounds.pure import _gradient_violation, _log_gradient, hk_pair
+from bettibounds import pure
+from bettibounds.pure import _gradient_violation, _log_gradient, _sample_gap_vector, hk_pair
 
 from helpers import column_total_partial, from_gaps, hk_equation_solve, koszul, pure_total_split
 
@@ -348,10 +349,105 @@ def test_verify_reports_pass_smoke():
         assert payload["violations"] == []
 
 
-def test_verify_is_deterministic():
-    first = verify_first_gap_monotone(s_max=5, samples=100, seed=42)
-    second = verify_first_gap_monotone(s_max=5, samples=100, seed=42)
-    assert first == second
+@pytest.fixture
+def fresh_sweep():
+    """No test reads gradient rows that another run left in the sweep's cache."""
+    pure._gradient_sweep.cache_clear()
+    yield
+    pure._gradient_sweep.cache_clear()
+
+
+def test_verify_is_deterministic(fresh_sweep):
+    for verify in (verify_first_gap_monotone, verify_inward_shift_monotone, verify_binomial_floor):
+        first = verify(s_max=5, samples=100, seed=42)
+        pure._gradient_sweep.cache_clear()
+        second = verify(s_max=5, samples=100, seed=42)
+        assert first == second
+
+
+def _flip_log_gradient(monkeypatch):
+    original = pure._log_gradient
+
+    def flipped(p, j):
+        grad, common = original(p, j)
+        return [-g for g in grad], common
+
+    monkeypatch.setattr(pure, "_log_gradient", flipped)
+
+
+def _separate_gradient_rows(s_max, samples, seed):
+    """(e, j, k, value) rows of each gradient lemma under a sign-flipped log-gradient.
+
+    One loop per lemma over the samplers' points, signs and values from the
+    product-rule oracle.  The flip negates every partial, so a row is reported
+    exactly where the true sign is strictly the lemma's own, with its value negated.
+    """
+
+    def points():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            s = rng.randint(1, s_max)
+            yield s, tuple(Fraction(x, 64) for x in _sample_gap_vector(rng, s))
+
+    first_gap = []
+    for s, e in points():
+        for j in range(1, s + 1):
+            value = column_total_partial(j, 1, e)
+            if value > 0:
+                first_gap.append((e, j, 1, -value))
+    inward = []
+    for s, e in points():
+        for j in range(1, s + 1):
+            partial = [column_total_partial(j, k, e) for k in range(1, s + 1)]
+            for k in range(1, j):
+                if partial[j - 1] < partial[k - 1]:
+                    inward.append((e, j, k, partial[k - 1] - partial[j - 1]))
+            for k in range(j + 2, s + 1):
+                if partial[j] < partial[k - 1]:
+                    inward.append((e, j, k, partial[k - 1] - partial[j]))
+    return first_gap, inward
+
+
+def _rows(report):
+    return [(v.e, v.j, v.k, v.value) for v in report.violations]
+
+
+def test_gradient_sweeps_report_the_rows_of_separate_loops(monkeypatch, fresh_sweep):
+    _flip_log_gradient(monkeypatch)
+    # each key differs from the first in one argument only, and the first comes
+    # back last, so a stale or wrongly keyed sweep reports another key's rows
+    keys = [(4, 30, 3), (5, 30, 3), (4, 31, 3), (4, 30, 4), (4, 30, 3)]
+    seen = []
+    for index, key in enumerate(keys):
+        lemmas = [verify_first_gap_monotone, verify_inward_shift_monotone]
+        if index % 2:
+            lemmas.reverse()
+        reports = {verify: verify(*key) for verify in lemmas}
+        rows = (_rows(reports[verify_first_gap_monotone]), _rows(reports[verify_inward_shift_monotone]))
+        assert rows == _separate_gradient_rows(*key)
+        assert rows[0] and rows[1]
+        seen.append(rows)
+    assert len({repr(rows) for rows in seen}) == len(keys) - 1
+
+
+def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_column(monkeypatch, fresh_sweep):
+    calls = []
+    original = pure._log_gradient
+
+    def counted(p, j):
+        calls.append((tuple(p), j))
+        return original(p, j)
+
+    monkeypatch.setattr(pure, "_log_gradient", counted)
+    assert verify_first_gap_monotone(6, 50, 9).passed
+    assert verify_inward_shift_monotone(6, 50, 9).passed
+    rng = random.Random(9)
+    columns = []
+    for _ in range(50):
+        s = rng.randint(1, 6)
+        p = tuple(_positions_over_64(_sample_gap_vector(rng, s)))
+        columns += [(p, j) for j in range(1, s + 1)]
+    assert calls == columns
 
 
 def test_derivatives_at_origin_all_columns():
