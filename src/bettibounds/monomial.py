@@ -4,12 +4,18 @@ The lcm of every subset of the minimal generators is enumerated, and the
 subsets are grouped by it: the subsets with lcm m index the m-strand of the
 Taylor complex tensored with the field, whose homology at position i is the
 Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
-Each strand is taken on the smaller of two exact complexes:
+Each strand is settled without homology where it can be, and otherwise
+taken on the smaller of two exact complexes:
 
 * a strand of one cell has no boundary and gives beta = 1 at its size;
-* when m != 0 and 2^|supp m| is below the strand's cell count, the upper
-  Koszul complex K^m = {F subset of supp m : x^(m - F) in I} is used instead,
-  with beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
+* a strand is skipped when some generator g divides m strictly on its
+  support, g_k < m_k at every k with m_k > 0.  Then g divides x^(m - F) for
+  every F subset of supp m, so K^m below is the full simplex on supp m and
+  has no reduced homology.  At m = 0 the rule holds only for the unit
+  ideal, generated by 0, whose Taylor strand {0, {g}} is acyclic;
+* when 2^|supp m| is below the strand's cell count, the upper Koszul
+  complex K^m = {F subset of supp m : x^(m - F) in I} is used instead, with
+  beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
   Commutative Algebra, Thm 1.34);
 * otherwise the Taylor strand itself.
 
@@ -184,19 +190,22 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     betti: dict[tuple[int, int], int] = {}
     for multidegree, masks in strands.items():
         degree = sum(multidegree)
-        support = sum(1 for x in multidegree if x)
         if len(masks) == 1:
             # a lone cell has no boundary
             homology, shift = {bin(masks[0]).count("1"): 1}, 0
-        elif support and 1 << support < len(masks):
-            # at m = 0, two cells mean the unit ideal, whose Taylor strand is acyclic
-            # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1;
-            # the masks are increasing, so the last is the union of the strand
+        else:
+            # the masks are increasing, so the last is the union of the strand:
+            # every generator dividing m
             top = masks[-1]
             dividing = [g for b, g in enumerate(gens) if top >> b & 1]
-            homology, shift = _homology(_upper_koszul_faces(multidegree, dividing)), 1
-        else:
-            homology, shift = _homology(masks), 0
+            if any(all(a < b for a, b in zip(g, multidegree) if b) for g in dividing):
+                continue  # a strict divisor: the strand is acyclic
+            support = sum(1 for x in multidegree if x)
+            if 1 << support < len(masks):
+                # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
+                homology, shift = _homology(_upper_koszul_faces(multidegree, dividing)), 1
+            else:
+                homology, shift = _homology(masks), 0
         for level, count in homology.items():
             if count:
                 key = (level + shift, degree)
@@ -245,8 +254,9 @@ def corpus(name: str) -> MonomialIdeal:
       every monomial of degree d + 1, minimalized.
     * square-free-example(k): all products of two distinct variables among k.
 
-    More than MAX_GENERATORS minimal generators are refused before they are
-    built, first by a lower bound, so the count is taken on bounded arguments.
+    A family given more arguments than it takes is refused.  More than
+    MAX_GENERATORS minimal generators are refused before they are built, first
+    by a lower bound, so the count is taken on bounded arguments.
     """
     match = _FAMILY_RE.fullmatch(name)
     if not match:
@@ -263,7 +273,12 @@ def corpus(name: str) -> MonomialIdeal:
             raise FormatError(f"{family} argument {position} must be >= {minimum}")
         return value
 
+    def at_most(count):
+        if len(args) > count:
+            raise FormatError(f"{family} has {len(args)} arguments; it takes {count}")
+
     if family == "power-of-maximal":
+        at_most(2)
         n, d = int_arg(0, 1), int_arg(1, 1)
         if n > 1:  # C(n+d-1, d) generators, at least max(n, d + 1)
             _check_generator_count(max(n, d + 1), lower_bound=True)
@@ -288,6 +303,7 @@ def corpus(name: str) -> MonomialIdeal:
         _check_generator_count(len(span) + math.comb(n + d, d + 1) - len(covered))
         return minimalize(n, list(span) + _degree_monomials(n, d + 1))
     if family == "square-free-example":
+        at_most(1)
         k = int_arg(0, 2)
         _check_generator_count(k - 1, lower_bound=True)
         _check_generator_count(math.comb(k, 2))

@@ -253,6 +253,19 @@ def test_oversized_family_is_refused_before_it_is_built(capsys, family):
     assert len(err.splitlines()) == 1 and err.startswith("error: too-many-generators: ")
 
 
+@pytest.mark.parametrize(
+    "family, detail",
+    [
+        ("power-of-maximal(2,2,7)", "power-of-maximal has 3 arguments; it takes 2"),
+        ("square-free-example(4,9)", "square-free-example has 2 arguments; it takes 1"),
+        ("square-free-example(4,)", "square-free-example has 2 arguments; it takes 1"),
+    ],
+)
+def test_family_with_extra_arguments_is_a_format_error(capsys, family, detail):
+    code, out, err = run(capsys, "monomial-betti", "--family", family)
+    assert (code, out, err) == (2, "", f"error: format: {detail}\n")
+
+
 def test_monomial_betti_requires_one_source(capsys):
     code, _, err = run(capsys, "monomial-betti")
     assert code == 2

@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -15,6 +15,7 @@ from bettibounds import (
     corpus,
     decompose,
     minimalize,
+    monomial,
     shape_hypothesis,
     taylor_betti,
     validate_bounds,
@@ -152,18 +153,38 @@ def oracle_ideals():
     return ideals + equigenerated_ideals()
 
 
-def test_equigenerated_ideals_have_strands_larger_than_their_koszul_cube():
-    # the engine trades a Taylor strand for K^m when 2^|supp m| < strand size;
-    # the oracle comparisons below cover that branch through these ideals (127 such strands)
+def _strands(ideal):
+    """{lcm m: bitmasks of the generator subsets with lcm m}, by brute force."""
+    gens = ideal.generators
+    strands = {}
+    for mask in range(1 << len(gens)):
+        chosen = [g for b, g in enumerate(gens) if mask >> b & 1]
+        m = tuple(max((g[v] for g in chosen), default=0) for v in range(ideal.nvars))
+        strands.setdefault(m, []).append(mask)
+    return strands
+
+
+def _has_strict_divisor(ideal, m):
+    return any(
+        all(a < b for a, b in zip(g, m) if b)
+        for g in ideal.generators
+        if all(a <= b for a, b in zip(g, m))
+    )
+
+
+def test_oracle_ideals_have_strands_larger_than_their_koszul_cube():
+    # the engine trades a Taylor strand for K^m when 2^|supp m| < strand size
+    # and no generator divides m strictly; the oracle comparisons below cover
+    # that branch through these ideals (15 such strands, 4 of them in the
+    # equigenerated ideals; 134 more have a strict divisor and are skipped)
     switched = 0
-    for ideal in equigenerated_ideals():
-        sizes = Counter()
-        gens = ideal.generators
-        for size in range(len(gens) + 1):
-            for subset in combinations(gens, size):
-                sizes[tuple(max((g[v] for g in subset), default=0) for v in range(ideal.nvars))] += 1
-        switched += sum(1 for m, n in sizes.items() if 2 ** sum(1 for x in m if x) < n)
-    assert switched >= 100
+    for ideal in oracle_ideals():
+        switched += sum(
+            1
+            for m, masks in _strands(ideal).items()
+            if 2 ** sum(1 for x in m if x) < len(masks) and not _has_strict_divisor(ideal, m)
+        )
+    assert switched >= 10
 
 
 def test_taylor_betti_matches_upper_koszul_oracle():
@@ -293,3 +314,39 @@ def test_square_free_example_6_linear_resolution():
 def test_power_of_maximal_linear_forms_is_koszul():
     for n in range(1, 11):
         assert taylor_betti(corpus(f"power-of-maximal({n},1)")) == koszul(n), n
+
+
+def test_strands_with_a_strict_divisor_carry_no_homology():
+    # a generator g | m with g_k < m_k on supp m makes K^m the full simplex on supp m
+    skipped = 0
+    for ideal in oracle_ideals():
+        for m, masks in _strands(ideal).items():
+            if len(masks) == 1 or not _has_strict_divisor(ideal, m):
+                continue
+            skipped += 1
+            dividing = [g for g in ideal.generators if all(a <= b for a, b in zip(g, m))]
+            assert any(m), ideal  # m = 0 has two cells only for the unit ideal
+            assert not any(monomial._homology(monomial._upper_koszul_faces(m, dividing)).values())
+            assert not any(monomial._homology(masks).values())
+    assert skipped >= 300
+
+
+def test_rank_calls_on_the_corpus_families(monkeypatch):
+    # strands with a strict divisor take no rank; a rule that skips fewer
+    # strands can give the same diagrams, and these counts show it
+    calls = Counter()
+    original = monomial._rational_rank
+
+    def counted(rows):
+        calls[name] += 1
+        return original(rows)
+
+    monkeypatch.setattr(monomial, "_rational_rank", counted)
+    for name, ideal in monomial_corpus():
+        taylor_betti(ideal)
+    assert dict(calls) == {
+        "power-of-maximal(3,2)": 7,
+        "vplusm(3,2,x0^2,x0*x1)": 7,
+        "square-free-example(3)": 1,
+        "square-free-example(4)": 6,
+    }
