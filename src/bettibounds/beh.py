@@ -6,12 +6,13 @@ shape condition on the diagram: generators in degrees <= 0 and regularity at
 most 2*(minimal first-syzygy degree) - 2.  One predicate, `pure._shape_holds`,
 decides it on those three statistics, whether `shape_hypothesis` reads them
 from a diagram, `beh_check` reads them lowered by a positive top generator
-degree, or `pure_shape_check` reads them off a degree sequence.  `scan` hunts
-through pure diagrams for sequences that satisfy, or provably violate, the
-bound, deciding each one in integer arithmetic; a reported row's totals are
-built from the integer pairs it was decided on.  It walks the sequences by
-prefix and last degree: each prefix d_1 < ... < d_{s-1} builds its
-Herzog-Kuhl products once, and each last degree d_s then costs O(s).  The
+degree, `pure_shape_check` off a degree sequence, or `scan` off the degrees it
+walked.  `scan` hunts through pure diagrams for sequences that satisfy, or
+provably violate, the bound, deciding each one in integer arithmetic.  A
+reported row's totals come from the pairs it was decided on, its `shape` from
+its degrees, and its `beh_pass` is false by construction.  It walks the
+sequences by prefix and last degree: each prefix d_1 < ... < d_{s-1} builds
+its Herzog-Kuhl products once, and each last degree d_s then costs O(s).  The
 pairs it compares equal those of `pure.hk_pair`, the one definition of the
 product; a test pins them to it.  Its shape-verify mode visits only the
 sequences that meet the shape condition, the only ones it could report; the
@@ -30,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram, format_rational
 from .errors import DomainError, NoFirstSyzygyError
-from .pure import _shape_holds, herzog_kuhl, pure_shape_check
+from .pure import _shape_holds, herzog_kuhl
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
 _SCAN_D_MAX = 20
@@ -259,11 +260,10 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
 
     `_walk` builds each prefix's products once and each sequence's pairs in
     O(s) from them; they equal the unreduced pairs of `pure.hk_pair`, which a
-    test asserts.  Every comparison is made on those integer pairs; a reported
-    row's column totals are built as fractions from the pairs it was compared
-    on.  `sequences_checked` is the size of the domain, sum over s of
-    C(d_max, s), in every mode.  An s range reaching outside [1, 8] is
-    refused, quoting at most its first nine values.
+    test asserts.  Every comparison is made on those integer pairs, and a
+    reported row is built from them and its degrees alone.  `sequences_checked`
+    is the size of the domain, sum over s of C(d_max, s), in every mode.  An s
+    range reaching outside [1, 8] is refused, quoting at most its first nine values.
     """
     if s_min > s_max:
         raise DomainError("empty s range")
@@ -299,15 +299,7 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
             else:
                 scaled = _first_below(pairs, floor, multiple)
                 if scaled is not None:
-                    degrees = (0, *prefix, x)
-                    rows.append(
-                        ScanRow(
-                            degrees,
-                            s,
-                            pure_shape_check(degrees),
-                            _first_below(pairs, floor) is None,
-                            scaled,
-                            _totals(pairs),
-                        )
-                    )
+                    shape = _shape_holds(0, x - s, prefix[0] if prefix else x)
+                    # beh_pass: the multiple is >= 1, so a scaled violation is a raw one too
+                    rows.append(ScanRow((0, *prefix, x), s, shape, False, scaled, _totals(pairs)))
     return ScanReport(mode, s_values, d_max, checked, tuple(rows))

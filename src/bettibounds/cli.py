@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -278,12 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a full device fails here, not after main has returned
+        return code
     except BettiError as exc:
         # a detail may quote an argument or a path that holds a line break
         detail = " ".join(str(exc).splitlines())
         print(f"error: {_error_slug(exc)}: {detail}", file=sys.stderr)
         return EXIT_FINDING if isinstance(exc, NotInConeError) else EXIT_USAGE
+    except OSError as exc:  # input errors are FormatErrors, so this is a failed write
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # an in-memory stdout has no descriptor and no exit flush
+        else:
+            # what stays buffered would fail again when the interpreter flushes at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -286,19 +286,14 @@ def check_degree_sequence(degrees: Sequence[int]) -> DegreeSequence:
     """Validate and normalize a strictly increasing integer tuple."""
     if len(degrees) == 0:
         raise InvalidSequenceError("degree sequence must be nonempty")
-    out = []
-    for d in degrees:
-        if isinstance(d, Fraction):
-            if d.denominator != 1:
-                raise InvalidSequenceError(f"degrees must be integers, got {d}")
-            d = int(d)
+    out = tuple(degrees)
+    for d in out:
         if type(d) is not int:  # bool is an int subclass
             raise InvalidSequenceError(f"degrees must be integers, got {d!r}")
-        out.append(d)
     for prev, nxt in zip(out, out[1:]):
         if nxt <= prev:
-            raise InvalidSequenceError(f"not strictly increasing: {tuple(out)}")
-    return tuple(out)
+            raise InvalidSequenceError(f"not strictly increasing: {out}")
+    return out
 
 
 def seq_leq(lower: Sequence[int], upper: Sequence[int]) -> bool:

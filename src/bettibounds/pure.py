@@ -245,17 +245,13 @@ def _gap_vector(scaled: Sequence[int], scale: int = _SAMPLE_SCALE) -> Tuple[Frac
 
 
 def _gradient_violation(
-    scaled: Sequence[int], j: int, k: int, lead: Optional[int] = None
+    scaled: Sequence[int], p: Sequence[int], j: int, k: int, g: int, common: int
 ) -> Violation:
-    """Report row at the gap vector scaled/64, with its exact value.
+    """Row at the gap vector scaled/64, at positions p, valued total_j * 64*g/common.
 
-    The value is d(total_j)/de_k, or (d/de_lead - d/de_k) total_j when lead is given.
-    """
-    e = _gap_vector(scaled)
-    value = pure_total_partial(j, k, e)
-    if lead is not None:
-        value = pure_total_partial(j, lead, e) - value
-    return Violation(e, j, k, value)
+    That is d(total_j)/de_k for g = G_k, and (d/de_lead - d/de_k) total_j for g = G_lead - G_k."""
+    num, den = hk_pair(p, j)
+    return Violation(_gap_vector(scaled), j, k, Fraction(num * _SAMPLE_SCALE * g, den * common))
 
 
 def _check_sweep(s_max: int, samples: int):
@@ -277,15 +273,15 @@ def _gradient_sweep(s_max: int, samples: int, seed: int) -> Tuple[Tuple[Violatio
         x = _sample_gap_vector(rng, s)
         p = _gap_positions(x, _SAMPLE_SCALE)
         for j in range(1, s + 1):
-            grad, _ = _log_gradient(p, j)
+            grad, common = _log_gradient(p, j)
             if grad[0] < 0:
-                first_gap.append(_gradient_violation(x, j, 1))
+                first_gap.append(_gradient_violation(x, p, j, 1, grad[0], common))
             for k in range(1, j):
-                if grad[j - 1] - grad[k - 1] > 0:
-                    inward.append(_gradient_violation(x, j, k, lead=j))
+                if (g := grad[j - 1] - grad[k - 1]) > 0:
+                    inward.append(_gradient_violation(x, p, j, k, g, common))
             for k in range(j + 2, s + 1):
-                if grad[j] - grad[k - 1] > 0:
-                    inward.append(_gradient_violation(x, j, k, lead=j + 1))
+                if (g := grad[j] - grad[k - 1]) > 0:
+                    inward.append(_gradient_violation(x, p, j, k, g, common))
     return tuple(first_gap), tuple(inward)
 
 

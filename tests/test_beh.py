@@ -15,6 +15,7 @@ from bettibounds import (
     scan,
     shape_hypothesis,
 )
+from bettibounds import beh
 from bettibounds.beh import CSV_HEADER
 
 from helpers import corpus_diagrams, koszul
@@ -166,6 +167,24 @@ def test_scan_find_violations_lists_known_violator():
     # the doubled diagram (2, 9, 15, 10, 3, 1) first drops below C(5, j) at j = 4
     assert row.first_violating_j == 4
     assert not row.shape
+
+
+@pytest.mark.parametrize("mode", ["find-violations", "integral-violations"])
+def test_scan_rows_read_shape_off_the_walked_degrees(monkeypatch, mode):
+    # no pure diagram meeting the shape condition violates the floor, so a
+    # fabricated walk is the only way to see a reported row with a true shape
+    def walk(s, d_max, shape_only):
+        assert (s, shape_only) == (2, False)
+        yield (1,), 2, [(1, 1), (1, 1)]  # d_2 - 2 = 0 <= 2*d_1 - 2
+        yield (2,), 5, [(1, 1), (1, 1)]  # d_2 - 2 = 3 > 2*d_1 - 2 = 2
+
+    monkeypatch.setattr(beh, "_walk", walk)
+    rows = scan(2, 2, 5, mode).rows
+    assert [(row.degrees, row.shape, row.beh_pass, row.first_violating_j) for row in rows] == [
+        ((0, 1, 2), True, False, 1),
+        ((0, 2, 5), False, False, 1),
+    ]
+    assert [row.shape for row in rows] == [pure_shape_check(row.degrees) for row in rows]
 
 
 def test_scan_integral_violations_includes_half_integral_class():

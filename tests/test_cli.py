@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +269,49 @@ def test_family_with_extra_arguments_is_a_format_error(capsys, family, detail):
     assert (code, out, err) == (2, "", f"error: format: {detail}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, diagram, error",
+    [
+        (["check-beh", "FILE"], '{"entries": []}', "domain: empty diagram"),
+        (["check-beh", "FILE"], '{"entries": {}}', 'format: "entries" must be a list'),
+        (
+            ["check-beh", "FILE"],
+            '{"entries": [{"i": 0, "j": 0, "value": 3}]}',
+            "format: rational literal must be a string, got int",
+        ),
+        (
+            ["asymptotic", "--codim", "2", "--delta", "1", "--defect", "0", "--j", "1",
+             "--t-max", "1", "--e-tail", "x"],
+            None,
+            "format: cannot parse gap tail 'x'",
+        ),
+        (["monomial-betti", "--family", "vplusm(2,1,y0)"], None, "format: cannot parse monomial factor 'y0'"),
+        (["monomial-betti", "--family", "vplusm(2,1,x5)"], None, "format: variable x5 outside x0..x1"),
+        (
+            ["monomial-betti", "--family", "power-of-maximal(0,1)"],
+            None,
+            "format: power-of-maximal argument 0 must be >= 1",
+        ),
+    ],
+    ids=[
+        "empty-entries",
+        "entries-not-a-list",
+        "numeric-value",
+        "gap-tail",
+        "monomial-factor",
+        "variable-out-of-range",
+        "power-of-maximal-0",
+    ],
+)
+def test_malformed_input_is_refused_on_one_line(tmp_path, capsys, argv, diagram, error):
+    if diagram is not None:
+        path = tmp_path / "diagram.json"
+        path.write_text(diagram, encoding="utf-8")
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_monomial_betti_requires_one_source(capsys):
     code, _, err = run(capsys, "monomial-betti")
     assert code == 2
@@ -433,3 +479,43 @@ def test_a_vast_s_max_is_refused_before_any_work(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: domain: ")
     assert len(err) <= 200
+
+
+def _run_into(stdout, *argv):
+    """Run `python -m bettibounds` in a new process with the given stdout.
+
+    Its stdout is block-buffered, as a pipe or a file is by default, so a
+    failed write can surface as late as the interpreter's flush at exit.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "bettibounds", *argv]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+def _assert_one_output_error(result):
+    # a summary that scan writes to stderr may come first: the write that
+    # failed can be the flush after it
+    lines = result.stderr.splitlines()
+    assert result.returncode == 2
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+    assert lines[-1].startswith("error: output: ")
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_a_closed_stdout_pipe_is_one_output_error_line():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = ["scan", "--s-min", "5", "--s-max", "5", "--d-max", "8", "--mode", "find-violations"]
+        result = _run_into(write, *argv)
+    finally:
+        os.close(write)
+    _assert_one_output_error(result)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_stdout_device_is_one_output_error_line():
+    with open("/dev/full", "w") as full:
+        result = _run_into(full, "pure", "--degrees", "0,1,2,4")
+    _assert_one_output_error(result)

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from bettibounds import BettiDiagram, herzog_kuhl
 from bettibounds.cli import main
 
-# the kinds the README lists for the `error: <kind>: <detail>` line
+# the kinds the README lists for the `error: <kind>: <detail>` line, but `output`:
+# these runs print to memory, which cannot fail as a closed pipe or a full device can
 KINDS = {
     "format",
     "domain",

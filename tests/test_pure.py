@@ -18,7 +18,7 @@ from bettibounds import (
 )
 from bettibounds.errors import InvalidSequenceError
 from bettibounds import pure
-from bettibounds.pure import _gradient_violation, _log_gradient, _sample_gap_vector, hk_pair
+from bettibounds.pure import _log_gradient, _sample_gap_vector, hk_pair
 
 from helpers import column_total_partial, from_gaps, hk_equation_solve, koszul, pure_total_split
 
@@ -61,6 +61,11 @@ def test_rejects_non_increasing():
         herzog_kuhl((False, True))  # bool is an int subclass, not a degree
     with pytest.raises(InvalidSequenceError):
         check_degree_sequence((0, 0, 1))
+
+
+def test_rejects_a_fraction_degree_even_when_integral():
+    with pytest.raises(InvalidSequenceError):
+        herzog_kuhl((Fraction(0), 2, 3))
 
 
 def test_totals_match_equation_solver():
@@ -260,18 +265,30 @@ def test_integer_signs_match_the_product_rule_oracle():
             assert _sign(num - floor * den) == _sign(totals[j] - floor)
 
 
-def test_reported_gradient_value_is_the_exact_combination_of_partials():
+def test_reported_gradient_value_is_the_exact_combination_of_partials(monkeypatch, fresh_sweep):
     scaled = [40, 0, 3 * 64, 5, 64 * 7 + 32]  # e = (5/8, 0, 3, 5/64, 15/2)
     e = tuple(Fraction(x, 64) for x in scaled)
-    first = _gradient_violation(scaled, 2, 1)
+    # seed 5 draws s = 5 for its first sample, which is then this point
+    monkeypatch.setattr(pure, "_sample_gap_vector", lambda rng, s: scaled[:s])
+    # the flip negates every partial, pure_total_partial's too, so the sweep
+    # reports each partial of the lemma's own sign, with its value negated
+    _flip_log_gradient(monkeypatch)
+    first_gap = {v.j: v for v in verify_first_gap_monotone(5, 1, 5).violations}
+    inward = {(v.j, v.k): v for v in verify_inward_shift_monotone(5, 1, 5).violations}
+    first = first_gap[2]
     assert (first.e, first.j, first.k) == (e, 2, 1)
-    assert first.value == pure_total_partial(2, 1, e) == column_total_partial(2, 1, e)
+    assert first.value == pure_total_partial(2, 1, e) == -column_total_partial(2, 1, e)
     for j, k, lead in [(3, 1, 3), (3, 2, 3), (2, 4, 3), (1, 5, 2)]:
-        row = _gradient_violation(scaled, j, k, lead)
+        row = inward[j, k]
         assert (row.e, row.j, row.k) == (e, j, k)
         assert row.value == pure_total_partial(j, lead, e) - pure_total_partial(j, k, e)
-        assert row.value == column_total_partial(j, lead, e) - column_total_partial(j, k, e)
-        assert row.value < 0
+        assert row.value == column_total_partial(j, k, e) - column_total_partial(j, lead, e)
+        assert row.value > 0  # the true combination is negative
+    for row in first_gap.values():
+        assert row.value == -column_total_partial(row.j, 1, e)
+    for (j, k), row in inward.items():
+        lead = j if k < j else j + 1
+        assert row.value == column_total_partial(j, k, e) - column_total_partial(j, lead, e)
     assert first.to_json_dict()["e"] == ["5/8", "0", "3", "5/64", "15/2"]
 
 
@@ -430,7 +447,7 @@ def test_gradient_sweeps_report_the_rows_of_separate_loops(monkeypatch, fresh_sw
     assert len({repr(rows) for rows in seen}) == len(keys) - 1
 
 
-def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_column(monkeypatch, fresh_sweep):
+def _assert_one_log_gradient_per_sampled_column(monkeypatch, passed):
     calls = []
     original = pure._log_gradient
 
@@ -439,8 +456,8 @@ def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_column(monkeypat
         return original(p, j)
 
     monkeypatch.setattr(pure, "_log_gradient", counted)
-    assert verify_first_gap_monotone(6, 50, 9).passed
-    assert verify_inward_shift_monotone(6, 50, 9).passed
+    assert verify_first_gap_monotone(6, 50, 9).passed is passed
+    assert verify_inward_shift_monotone(6, 50, 9).passed is passed
     rng = random.Random(9)
     columns = []
     for _ in range(50):
@@ -448,6 +465,17 @@ def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_column(monkeypat
         p = tuple(_positions_over_64(_sample_gap_vector(rng, s)))
         columns += [(p, j) for j in range(1, s + 1)]
     assert calls == columns
+
+
+def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_column(monkeypatch, fresh_sweep):
+    _assert_one_log_gradient_per_sampled_column(monkeypatch, passed=True)
+
+
+def test_reported_rows_take_no_log_gradient_beyond_their_column(monkeypatch, fresh_sweep):
+    # under the flip both lemmas report rows, and a row's value must come from
+    # the log-gradient its column already took
+    _flip_log_gradient(monkeypatch)
+    _assert_one_log_gradient_per_sampled_column(monkeypatch, passed=False)
 
 
 def test_derivatives_at_origin_all_columns():
