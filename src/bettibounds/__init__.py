@@ -39,7 +39,6 @@ from .errors import (
     TooManyGeneratorsError,
 )
 from .monomial import MonomialIdeal, corpus, minimalize, taylor_betti
-from .poly import Poly
 from .pure import (
     herzog_kuhl,
     pure_shape_check,
@@ -61,7 +60,6 @@ __all__ = [
     "MonomialIdeal",
     "NoFirstSyzygyError",
     "NotInConeError",
-    "Poly",
     "PowerBoundParams",
     "TooManyGeneratorsError",
     "beh_check",

@@ -98,6 +98,7 @@ def _cmd_decompose(args) -> int:
             print(f"{format_rational(coefficient)}  {','.join(str(d) for d in degrees)}")
     if args.validate:
         report = validate_bounds(decomposition, diagram)
+        sys.stdout.flush()  # a failed write must fail before stderr reports the bounds
         print(f"bounds: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
         if not report.passed:
             return EXIT_FINDING
@@ -122,6 +123,7 @@ def _cmd_check_pure(args) -> int:
 def _cmd_scan(args) -> int:
     report = scan(args.s_min, args.s_max, args.d_max, args.mode)
     print(report.to_csv())
+    sys.stdout.flush()  # a failed write must fail before stderr reports the summary
     print(report.summary(), file=sys.stderr)
     return EXIT_FINDING if report.findings else EXIT_OK
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, format_rational, seq_leq
+from .diagram import BettiDiagram, check_degree_sequence, exact_value, format_rational, seq_leq
 from .errors import DomainError, NotInConeError
 from .pure import hk_pair
 
@@ -108,14 +108,12 @@ def recompose(decomposition: Decomposition) -> BettiDiagram:
 
     Each entry is summed as a reduced integer pair, so its size follows its
     value, not the number of terms that reach it.  Coefficients must be of
-    type int or Fraction.
+    type int or Fraction; anything else is a FormatError.
     """
     table: dict[tuple[int, int], tuple[int, int]] = {}
     for coefficient, degrees in decomposition:
         degrees = check_degree_sequence(degrees)
-        kind = type(coefficient)
-        if kind is not int and kind is not Fraction:
-            raise DomainError(f"coefficient must be an int or a Fraction, got {kind.__name__}")
+        coefficient = exact_value(coefficient, "coefficient")
         cn, cd = coefficient.numerator, coefficient.denominator
         for i, d in enumerate(degrees):
             num, den = hk_pair(degrees, i)

@@ -21,7 +21,7 @@ from .errors import (
     GapColumnError,
     InvalidSequenceError,
 )
-from .poly import Poly, exact_value
+from .poly import Poly
 
 DegreeSequence = Tuple[int, ...]
 
@@ -49,6 +49,16 @@ def parse_rational(text: str) -> Fraction:
         raise FormatError(
             f"rational literal has an integer of more than {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def exact_value(raw, noun: str) -> Fraction:
+    """raw as a Fraction if its type is exactly int or Fraction; FormatError naming `noun` if not."""
+    kind = type(raw)  # exact types: bool is an int, float a binary fraction
+    if kind is Fraction:
+        return raw
+    if kind is int:
+        return Fraction(raw)
+    raise FormatError(f"{noun} must be an int or a Fraction, got {kind.__name__}")
 
 
 def format_rational(value) -> str:
@@ -114,9 +124,6 @@ class BettiDiagram:
 
     def __getitem__(self, key) -> Fraction:
         return self._entries.get(tuple(key), Fraction(0))
-
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)

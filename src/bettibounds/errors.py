@@ -6,7 +6,8 @@ class BettiError(Exception):
 
 
 class FormatError(BettiError):
-    """Malformed input: a rational literal, a JSON shape, ideal data or a corpus family name."""
+    """Malformed input: a rational literal, a JSON shape, ideal data, a corpus family name, or a
+    diagram value, gap coordinate or recompose coefficient not of type int or Fraction."""
 
 
 class DomainError(BettiError):

@@ -1,50 +1,29 @@
-"""Hilbert numerators as exact Laurent polynomials with rational coefficients.
+"""The Hilbert numerator of a diagram, an internal carrier of exact Laurent terms.
 
-A diagram's Hilbert numerator sum_{i,j} (-1)^i beta_{i,j} t^j may have
-negative exponents when a module is generated in negative degrees.  The only
-question asked of it is its order of vanishing at t = 1, which is the
-codimension of the module.
+The numerator sum_{i,j} (-1)^i beta_{i,j} t^j may have negative exponents when
+a module is generated in negative degrees.  The only question asked of it is
+its order of vanishing at t = 1, the codimension.  Its coefficients come from
+a BettiDiagram's values, already exact, so no type is checked here.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import count
 
-from .errors import DomainError, FormatError
-
-
-def exact_value(raw, noun: str) -> Fraction:
-    """raw as a Fraction if its type is exactly int or Fraction; FormatError naming `noun` if not."""
-    kind = type(raw)  # exact types: bool is an int, float a binary fraction
-    if kind is Fraction:
-        return raw
-    if kind is int:
-        return Fraction(raw)
-    raise FormatError(f"{noun} must be an int or a Fraction, got {kind.__name__}")
+from .errors import DomainError
 
 
 class Poly:
-    """Finitely supported map exponent -> nonzero rational coefficient."""
+    """Exponent -> nonzero coefficient, summed from (exponent, coefficient) pairs."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        data: dict[int, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, raw in items:
-                if type(exp) is not int:  # bool is an int subclass
-                    raise FormatError(f"exponent must be an integer, got {exp!r}")
-                coeff = exact_value(raw, "coefficient")
-                if exp in data:
-                    coeff += data[exp]
-                if coeff:
-                    data[exp] = coeff
-                elif exp in data:
-                    del data[exp]
-        self._terms = data
+    def __init__(self, terms=()):
+        data = {}
+        for exp, coeff in terms:
+            data[exp] = data.get(exp, 0) + coeff
+        self._terms = {exp: coeff for exp, coeff in data.items() if coeff}
 
     def items(self):
         """Terms as (exponent, coefficient) pairs, exponent-ascending."""
@@ -52,14 +31,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def vanishing_order_at_one(self) -> int:
         """Largest c such that (1 - t)^c divides this polynomial.

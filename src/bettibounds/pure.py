@@ -8,12 +8,13 @@ forces every other entry through the Herzog-Kuhl product
 
 One integer kernel, `hk_pair`, evaluates this product as an unreduced pair
 of integers, for pure diagrams and for column totals in gap coordinates
-e_i = d_i - d_{i-1} - 1: a rational gap vector is first cleared to integer
-positions, which leaves the totals unchanged.  It is also the definition
-`beh.scan` is held to: the scan builds a prefix d_1 < ... < d_{s-1}'s products
-once and each last degree's pairs from them in O(s), and a test asserts those
-pairs equal this kernel's, as unreduced integers.  A second integer kernel
-gives the logarithmic gradient at the same positions.  In gap coordinates the
+e_i = d_i - d_{i-1} - 1: a gap vector of ints and Fractions (the types
+`diagram.exact_value` admits) is first cleared to integer positions, which
+leaves the totals unchanged.  It is also the definition `beh.scan` is held
+to: the scan builds a prefix d_1 < ... < d_{s-1}'s products once and each
+last degree's pairs from them in O(s), and a test asserts those pairs equal
+this kernel's, as unreduced integers.  A second integer kernel gives the
+logarithmic gradient at the same positions.  In gap coordinates the
 column total is a rational function of e with no poles on the closed
 nonnegative orthant, which makes sign questions about its partial
 derivatives exact finite computations.  The verify_* functions sample seeded
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, format_rational
+from .diagram import BettiDiagram, check_degree_sequence, exact_value, format_rational
 from .errors import DomainError
 
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
@@ -101,7 +102,7 @@ def pure_shape_check(degrees: Sequence[int]) -> bool:
 
 
 def _as_gap_vector(e: Sequence) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in e)
+    return tuple(exact_value(x, "gap coordinate") for x in e)
 
 
 def _gap_positions(scaled: Sequence[int], scale: int) -> List[int]:

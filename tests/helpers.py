@@ -26,7 +26,6 @@ from bettibounds import (
     BettiDiagram,
     DomainError,
     NotInConeError,
-    Poly,
     corpus,
     herzog_kuhl,
     minimalize,
@@ -366,6 +365,9 @@ def taylor_oracle_betti(ideal):
 def subset_numerator(ideal):
     """Hilbert numerator of S/I by inclusion-exclusion: sum of (-1)^|A| t^(deg lcm A).
 
+    Returned as a plain {degree: nonzero int} dict, merged and pruned here, not
+    by the library.
+
     A runs over all 2^r subsets of the r generators, so r is held to at most 20.
     """
     gens = [tuple(g) for g in ideal.generators]
@@ -376,7 +378,7 @@ def subset_numerator(ideal):
         for subset in combinations(gens, size):
             degree = sum(max((g[v] for g in subset), default=0) for v in range(ideal.nvars))
             terms[degree] = terms.get(degree, 0) + (-1) ** size
-    return Poly(terms)
+    return {degree: coefficient for degree, coefficient in terms.items() if coefficient}
 
 
 def random_monomial_ideal(rng: random.Random, max_vars=4, max_gens=8, max_exponent=3):

@@ -8,6 +8,7 @@ from bettibounds import (
     BettiDiagram,
     Decomposition,
     DomainError,
+    FormatError,
     NotInConeError,
     decompose,
     herzog_kuhl,
@@ -131,7 +132,7 @@ def test_empty_and_invalid_inputs():
 
 @pytest.mark.parametrize("coefficient", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
 def test_recompose_refuses_coefficients_other_than_int_and_fraction(coefficient):
-    with pytest.raises(DomainError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         recompose(Decomposition(((coefficient, (0, 1, 3)),)))
     assert str(excinfo.value) == (
         f"coefficient must be an int or a Fraction, got {type(coefficient).__name__}"
@@ -274,6 +275,14 @@ def test_validate_bounds_report_content():
     assert {len(t.degrees) - 1 for t in report.per_term} == {1, 2}
     assert report.recompose_matches
     assert report.passed is True
+
+
+def test_validate_bounds_fails_a_term_longer_than_the_projective_dimension():
+    diagram = BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
+    report = validate_bounds(Decomposition(((1, (0, 1, 2, 3)),)), diagram)
+    (term,) = report.per_term
+    assert (term.length_ok, term.lower_ok, term.upper_ok) == (False, False, False)
+    assert not report.recompose_matches and not report.passed
 
 
 def test_validate_bounds_weakly_increasing_max_degrees():

@@ -136,7 +136,7 @@ def test_corpus_unknown_names():
 def test_euler_characteristic_cross_check():
     for name, ideal in monomial_corpus():
         diagram = taylor_betti(ideal)
-        assert diagram.hilbert_numerator() == subset_numerator(ideal), name
+        assert dict(diagram.hilbert_numerator().items()) == subset_numerator(ideal), name
 
 
 def equigenerated_ideals():

@@ -7,6 +7,7 @@ import pytest
 
 from bettibounds import (
     DomainError,
+    FormatError,
     check_degree_sequence,
     herzog_kuhl,
     pure_shape_check,
@@ -20,7 +21,15 @@ from bettibounds.errors import InvalidSequenceError
 from bettibounds import pure
 from bettibounds.pure import _log_gradient, _sample_gap_vector, hk_pair
 
-from helpers import column_total_partial, from_gaps, hk_equation_solve, koszul, pure_total_split
+from helpers import (
+    NOT_EXACT_IDS,
+    NOT_EXACT_VALUES,
+    column_total_partial,
+    from_gaps,
+    hk_equation_solve,
+    koszul,
+    pure_total_split,
+)
 
 
 def all_sequences(s_values, d_max, d0=0):
@@ -55,6 +64,8 @@ def test_consecutive_degrees_give_binomials():
 
 
 def test_rejects_non_increasing():
+    with pytest.raises(InvalidSequenceError, match="^degree sequence must be nonempty$"):
+        herzog_kuhl(())
     with pytest.raises(InvalidSequenceError):
         herzog_kuhl((0, 2, 2))
     with pytest.raises(InvalidSequenceError):
@@ -174,6 +185,15 @@ def test_pure_total_rejects_negative_coordinates():
         pure_total(1, (-1, 0))
     with pytest.raises(IndexError):
         pure_total(3, (0, 0))
+
+
+@pytest.mark.parametrize("value", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
+def test_gap_coordinates_other_than_int_and_fraction_are_refused(value):
+    message = f"gap coordinate must be an int or a Fraction, got {type(value).__name__}"
+    for evaluate in (lambda e: pure_total(2, e), lambda e: pure_total_partial(2, 1, e)):
+        with pytest.raises(FormatError) as excinfo:
+            evaluate((1, value))
+        assert str(excinfo.value) == message
 
 
 def test_pure_total_accepts_rational_points():
@@ -510,3 +530,42 @@ def test_binomial_floor_on_shape_sequences_small():
         s = len(degrees) - 1
         for j in range(s + 1):
             assert totals[j] >= math.comb(s, j)
+
+
+def test_binomial_floor_reports_a_row_from_each_of_its_three_checks(monkeypatch):
+    """Under a kernel that shrinks every total, each kernel call of the floor sweep is a row.
+
+    Per sample of size s the sweep takes the kernel s times at the sampled
+    point, one column each; once for column 1 at the reduced point
+    (e_1, 0, ..., 0); and, when s >= 2, once for column s at the boundary point
+    (e_1, 0, ..., 0, y) with y <= e_1, cleared at scale 64^2.  Each row carries
+    that point, its column, no k, and the shrunk total num/den.
+    """
+    shrink = 2**20  # above every total at s <= 3, so every check fails
+    real = pure.hk_pair
+    calls = []
+
+    def shrunk(p, j):
+        num, den = real(p, j)
+        calls.append((tuple(p), j, Fraction(num, den * shrink)))
+        return num, den * shrink
+
+    monkeypatch.setattr(pure, "hk_pair", shrunk)
+    rows = [(v.e, v.j, v.k, v.value) for v in verify_binomial_floor(3, 40, 11).violations]
+    expected = []
+    while len(expected) < len(calls):
+        s = len(calls[len(expected)][0]) - 1
+        scales = [64] * (s + 1) + [64 * 64] * (s >= 2)
+        columns = list(range(1, s + 1)) + [1] + [s] * (s >= 2)
+        points = []
+        for (p, j, value), scale, column in zip(calls[len(expected) :], scales, columns):
+            assert j == column
+            points.append(tuple(Fraction(b - a, scale) - 1 for a, b in zip(p, p[1:])))
+            expected.append((points[-1], j, None, value))
+        e1 = points[0][0]
+        assert points[s] == (e1,) + (0,) * (s - 1)
+        if s >= 2:
+            assert points[s + 1][:-1] == (e1,) + (0,) * (s - 2) and 0 <= points[s + 1][-1] <= e1
+    assert len(expected) == len(calls)
+    assert rows == expected
+    assert {len(e) for e, *_ in rows} == {1, 2, 3}
