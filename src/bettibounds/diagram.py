@@ -162,7 +162,7 @@ class BettiDiagram:
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) not in (int, Fraction):  # exact types, as in exact_value
             return NotImplemented
         factor = Fraction(scalar)
         if not factor:

@@ -1,11 +1,9 @@
 """Exact Betti diagrams of monomial quotients, one multidegree strand at a time.
 
 The lcm of every subset of the minimal generators is enumerated, and the
-subsets are grouped by it: the subsets with lcm m index the m-strand of the
-Taylor complex tensored with the field, whose homology at position i is the
-Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
-Each strand is settled without homology where it can be, and otherwise
-taken on the smaller of two exact complexes:
+subsets are grouped by it: the subsets with lcm m form the m-strand of the
+Taylor complex.  Only such m (the LCM lattice) carry Betti numbers.  Each
+strand is settled by the first of three rules that applies:
 
 * a strand of one cell has no boundary and gives beta = 1 at its size;
 * a strand is skipped when some generator g divides m strictly on its
@@ -13,14 +11,13 @@ taken on the smaller of two exact complexes:
   every F subset of supp m, so K^m below is the full simplex on supp m and
   has no reduced homology.  At m = 0 the rule holds only for the unit
   ideal, generated by 0, whose Taylor strand {0, {g}} is acyclic;
-* when 2^|supp m| is below the strand's cell count, the upper Koszul
-  complex K^m = {F subset of supp m : x^(m - F) in I} is used instead, with
+* every other strand is taken on its upper Koszul complex
+  K^m = {F subset of supp m : x^(m - F) in I}, with
   beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
-  Commutative Algebra, Thm 1.34);
-* otherwise the Taylor strand itself.
+  Commutative Algebra, Thm 1.34).
 
-Both complexes have bitmask cells and share one homology routine with exact
-rational elimination.  Characteristic zero throughout.
+K^m has bitmask faces; its boundary ranks come from fraction-free integer
+elimination.  Characteristic zero throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence, Tuple
 
@@ -100,24 +96,30 @@ def minimalize(nvars: int, generators: Iterable[Sequence[int]]) -> MonomialIdeal
 
 
 def _rational_rank(rows) -> int:
-    """Rank of a matrix given as a list of row lists, by exact elimination."""
-    matrix = [[Fraction(x) for x in row] for row in rows]
+    """Rank over Q of a matrix given as a list of integer row lists.
+
+    Fraction-free elimination: the last row is the pivot, and every other row
+    r with entry f in the pivot's column c becomes p*r - f*pivot, p = pivot[c],
+    divided by the gcd of its entries.  Zero rows are dropped.
+    """
+    rows = [row for row in rows if any(row)]
     rank = 0
-    ncols = len(matrix[0]) if matrix else 0
-    col = 0
-    while rank < len(matrix) and col < ncols:
-        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        for r in range(rank + 1, len(matrix)):
-            factor = matrix[r][col] / pivot
-            if factor:
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+    while rows:
+        pivot = rows.pop()
         rank += 1
-        col += 1
+        col = next(c for c, x in enumerate(pivot) if x)
+        p = pivot[col]
+        cleared = []
+        for row in rows:
+            f = row[col]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, pivot)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                row = [a // g for a in row]
+            cleared.append(row)
+        rows = cleared
     return rank
 
 
@@ -192,23 +194,19 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
         degree = sum(multidegree)
         if len(masks) == 1:
             # a lone cell has no boundary
-            homology, shift = {bin(masks[0]).count("1"): 1}, 0
-        else:
-            # the masks are increasing, so the last is the union of the strand:
-            # every generator dividing m
-            top = masks[-1]
-            dividing = [g for b, g in enumerate(gens) if top >> b & 1]
-            if any(all(a < b for a, b in zip(g, multidegree) if b) for g in dividing):
-                continue  # a strict divisor: the strand is acyclic
-            support = sum(1 for x in multidegree if x)
-            if 1 << support < len(masks):
-                # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
-                homology, shift = _homology(_upper_koszul_faces(multidegree, dividing)), 1
-            else:
-                homology, shift = _homology(masks), 0
-        for level, count in homology.items():
+            key = (bin(masks[0]).count("1"), degree)
+            betti[key] = betti.get(key, 0) + 1
+            continue
+        # the masks are increasing, so the last is the union of the strand:
+        # every generator dividing m
+        top = masks[-1]
+        dividing = [g for b, g in enumerate(gens) if top >> b & 1]
+        if any(all(a < b for a, b in zip(g, multidegree) if b) for g in dividing):
+            continue  # a strict divisor: the strand is acyclic
+        # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
+        for level, count in _homology(_upper_koszul_faces(multidegree, dividing)).items():
             if count:
-                key = (level + shift, degree)
+                key = (level + 1, degree)
                 betti[key] = betti.get(key, 0) + count
     return BettiDiagram(betti)
 

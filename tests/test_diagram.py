@@ -75,6 +75,26 @@ def test_scale_pure_013():
     assert 2 * pure == BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1})
 
 
+@pytest.mark.parametrize("scalar", [True, False, 1.0, 0.0], ids=["true", "false", "float", "float-zero"])
+def test_scaling_refuses_scalars_that_are_not_int_or_fraction(scalar):
+    # the same exact types the constructor admits: bool is an int, float a binary fraction
+    diagram = BettiDiagram({(0, 0): 3})
+    with pytest.raises(TypeError):
+        scalar * diagram
+    with pytest.raises(TypeError):
+        diagram * scalar
+
+
+@pytest.mark.parametrize(
+    "scalar, expected",
+    [(2, {(0, 0): 6}), (0, {}), (Fraction(2, 3), {(0, 0): 2}), (Fraction(0), {})],
+    ids=["int", "int-zero", "fraction", "fraction-zero"],
+)
+def test_scaling_by_int_or_fraction(scalar, expected):
+    diagram = BettiDiagram({(0, 0): 3})
+    assert scalar * diagram == diagram * scalar == BettiDiagram(expected)
+
+
 def test_negative_homological_index_rejected():
     with pytest.raises(FormatError):
         BettiDiagram({(-1, 0): 1})

@@ -23,6 +23,7 @@ from bettibounds import (
 
 from helpers import (
     WEAK_MAX_DEGREE_IDEAL,
+    _rank,
     koszul,
     monomial_corpus,
     random_equigenerated_ideal,
@@ -172,19 +173,31 @@ def _has_strict_divisor(ideal, m):
     )
 
 
-def test_oracle_ideals_have_strands_larger_than_their_koszul_cube():
-    # the engine trades a Taylor strand for K^m when 2^|supp m| < strand size
-    # and no generator divides m strictly; the oracle comparisons below cover
-    # that branch through these ideals (15 such strands, 4 of them in the
-    # equigenerated ideals; 134 more have a strict divisor and are skipped)
-    switched = 0
+def test_oracle_ideals_settle_small_taylor_strands_on_their_koszul_complex(monkeypatch):
+    # every strand that is neither a lone cell nor has a strict divisor is
+    # taken on K^m, also when its Taylor strand has no more cells than the
+    # 2^|supp m| of K^m's cube; the oracle comparisons below cover those
+    # strands through these ideals (151 strands on K^m, 136 of them small)
+    settled = []
+
+    def recorded(multidegree, dividing):
+        settled.append(multidegree)
+        return original(multidegree, dividing)
+
+    original = monomial._upper_koszul_faces
+    monkeypatch.setattr(monomial, "_upper_koszul_faces", recorded)
+    small = 0
     for ideal in oracle_ideals():
-        switched += sum(
-            1
+        settled.clear()
+        taylor_betti(ideal)
+        expected = {
+            m: masks
             for m, masks in _strands(ideal).items()
-            if 2 ** sum(1 for x in m if x) < len(masks) and not _has_strict_divisor(ideal, m)
-        )
-    assert switched >= 10
+            if len(masks) > 1 and not _has_strict_divisor(ideal, m)
+        }
+        assert sorted(settled) == sorted(expected), ideal
+        small += sum(1 for m, masks in expected.items() if len(masks) <= 2 ** sum(1 for x in m if x))
+    assert small >= 100
 
 
 def test_taylor_betti_matches_upper_koszul_oracle():
@@ -350,3 +363,36 @@ def test_rank_calls_on_the_corpus_families(monkeypatch):
         "square-free-example(3)": 1,
         "square-free-example(4)": 6,
     }
+
+
+def _seeded_matrix(rng):
+    """An integer matrix with entries -3..3, up to 10 x 10, often rank-deficient."""
+    nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+    density = rng.choice((0.2, 0.5, 1.0))
+    rows = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        kind, n = rng.randrange(3), rng.randrange(nrows)
+        if kind == 0:
+            rows[n] = [0] * ncols
+        elif kind == 1:
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = 0
+        else:
+            rows.insert(rng.randrange(nrows + 1), list(rows[n]))
+    return rows
+
+
+def test_integer_rank_matches_fraction_elimination():
+    # helpers._rank eliminates over Fraction; the engine's rank stays on integers
+    assert monomial._rational_rank([]) == 0
+    rng = random.Random(2024)
+    deficient = 0
+    for _ in range(3000):
+        rows = _seeded_matrix(rng)
+        copy = [list(row) for row in rows]
+        rank = monomial._rational_rank(rows)
+        assert rank == _rank(rows), rows
+        assert rows == copy  # the benchmark's hook reads the rows it was given
+        deficient += rank < min(len(rows), len(rows[0]))
+    assert deficient >= 1000
