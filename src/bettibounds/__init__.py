@@ -2,8 +2,8 @@
 
 Pure-diagram construction, greedy cone decomposition, binomial rank bounds
 with their supporting derivative checks, asymptotic bounds for ideal powers,
-and Betti numbers of monomial ideals from upper Koszul complexes on the LCM
-lattice.  All arithmetic is exact rational.
+and Betti numbers of monomial ideals from Taylor strands and upper Koszul
+complexes on the LCM lattice.  All arithmetic is exact rational.
 """
 
 __version__ = "0.1.0"

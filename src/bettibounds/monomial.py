@@ -1,9 +1,11 @@
 """Exact Betti diagrams of monomial quotients, one multidegree strand at a time.
 
 The lcm of every subset of the minimal generators is enumerated, and the
-subsets are grouped by it: the subsets with lcm m form the m-strand of the
-Taylor complex.  Only such m (the LCM lattice) carry Betti numbers.  Each
-strand is settled by the first of three rules that applies:
+subsets are grouped by it: the subsets with lcm m index the m-strand of the
+Taylor complex tensored with the field, whose homology at position i is the
+Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
+Each strand is settled without homology where it can be, and otherwise
+taken on the smaller of two exact complexes:
 
 * a strand of one cell has no boundary and gives beta = 1 at its size;
 * a strand is skipped when some generator g divides m strictly on its
@@ -11,13 +13,15 @@ strand is settled by the first of three rules that applies:
   every F subset of supp m, so K^m below is the full simplex on supp m and
   has no reduced homology.  At m = 0 the rule holds only for the unit
   ideal, generated by 0, whose Taylor strand {0, {g}} is acyclic;
-* every other strand is taken on its upper Koszul complex
-  K^m = {F subset of supp m : x^(m - F) in I}, with
+* when 2^|supp m| is below the strand's cell count, the upper Koszul
+  complex K^m = {F subset of supp m : x^(m - F) in I} is used instead, with
   beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
-  Commutative Algebra, Thm 1.34).
+  Commutative Algebra, Thm 1.34);
+* otherwise the Taylor strand itself.  K^m may have 2^|supp m| faces, and
+  only nvars bounds supp m; the strand is bounded by the generator guard.
 
-K^m has bitmask faces; its boundary ranks come from fraction-free integer
-elimination.  Characteristic zero throughout.
+Both complexes have bitmask cells and share one homology routine; its ranks
+come from fraction-free integer elimination.  Characteristic zero throughout.
 """
 
 from __future__ import annotations
@@ -194,19 +198,23 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
         degree = sum(multidegree)
         if len(masks) == 1:
             # a lone cell has no boundary
-            key = (bin(masks[0]).count("1"), degree)
-            betti[key] = betti.get(key, 0) + 1
-            continue
-        # the masks are increasing, so the last is the union of the strand:
-        # every generator dividing m
-        top = masks[-1]
-        dividing = [g for b, g in enumerate(gens) if top >> b & 1]
-        if any(all(a < b for a, b in zip(g, multidegree) if b) for g in dividing):
-            continue  # a strict divisor: the strand is acyclic
-        # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
-        for level, count in _homology(_upper_koszul_faces(multidegree, dividing)).items():
+            homology, shift = {bin(masks[0]).count("1"): 1}, 0
+        else:
+            # the masks are increasing, so the last is the union of the strand:
+            # every generator dividing m
+            top = masks[-1]
+            dividing = [g for b, g in enumerate(gens) if top >> b & 1]
+            if any(all(a < b for a, b in zip(g, multidegree) if b) for g in dividing):
+                continue  # a strict divisor: the strand is acyclic
+            support = sum(1 for x in multidegree if x)
+            if 1 << support < len(masks):
+                # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
+                homology, shift = _homology(_upper_koszul_faces(multidegree, dividing)), 1
+            else:
+                homology, shift = _homology(masks), 0
+        for level, count in homology.items():
             if count:
-                key = (level + 1, degree)
+                key = (level + shift, degree)
                 betti[key] = betti.get(key, 0) + count
     return BettiDiagram(betti)
 
