@@ -12,11 +12,15 @@ provably violate, the bound, deciding each one in integer arithmetic.  A
 reported row's totals come from the pairs it was decided on, its `shape` from
 its degrees, and its `beh_pass` is false by construction.  It walks the
 sequences by prefix and last degree: each prefix d_1 < ... < d_{s-1} builds
-its Herzog-Kuhl products once, and each last degree d_s then costs O(s).  The
-pairs it compares equal those of `pure.hk_pair`, the one definition of the
-product; a test pins them to it.  Its shape-verify mode visits only the
-sequences that meet the shape condition, the only ones it could report; the
-"N sequences" of every scan summary is the size of the whole domain.
+its Herzog-Kuhl products once, and each last degree d_s it checks then costs
+O(s).  The pairs it compares equal those of `pure.hk_pair`, the one
+definition of the product; a test pins them to it.  Its shape-verify mode
+visits only the sequences that meet the shape condition, the only ones it
+could report.  The two violation modes skip, by one gcd, every sequence
+whose last column's reduced denominator already lifts every column to the
+floor: it divides the smallest integral multiple, so such a sequence has no
+row.  The "N sequences" of every scan summary is the size of the whole
+domain.
 """
 
 from __future__ import annotations
@@ -199,34 +203,72 @@ _DEN_FACTORS = tuple(
 
 
 def _walk(
-    s: int, d_max: int, shape_only: bool
+    s: int, d_max: int, mode: str
 ) -> Iterator[Tuple[Tuple[int, ...], int, List[Tuple[int, int]]]]:
-    """Each sequence (0, *prefix, x) of length s + 1 with x <= d_max, and its column pairs.
+    """The sequences (0, *prefix, x) with x <= d_max that `scan` checks in mode, with their pairs.
 
-    Lexicographic, like `combinations`.  A prefix d_1 < ... < d_{s-1} builds
-    P = d_1...d_{s-1}, a_j = P/d_j and b_j = prod over i != j of |d_i - d_j|
-    once, in O(s^2), reading the b_j and each last degree's product off
-    `_DEN_FACTORS`; each last degree x then costs O(s): column j < s is
-    (a_j*x, b_j*(x - d_j)) and column s is (P, prod of (x - d_i)), exactly the
-    unreduced pairs `pure.hk_pair` gives for columns 1..s.  With shape_only,
-    x stops at s + 2*d_1 - 2 and only prefixes below that bound are built, so
-    exactly the sequences meeting the shape condition are walked; at s = 1
-    that condition always holds.
+    Lexicographic, like `combinations`.  A prefix d_1 < ... < d_{s-1} has
+    P = d_1...d_{s-1}, a_j = P/d_j and b_j = prod over i != j of |d_i - d_j|,
+    each b_j and each last degree's Q = prod of (x - d_i) read off
+    `_DEN_FACTORS`.  Its columns (a_j, b_j, d_j) are built once, in O(s^2), at
+    its first yielded x; each yielded x then costs O(s): column j < s is
+    (a_j*x, b_j*(x - d_j)) and column s is (P, Q), exactly the unreduced pairs
+    `pure.hk_pair` gives for columns 1..s.
+
+    shape-verify walks exactly the sequences meeting the shape condition: x
+    stops at s + 2*d_1 - 2 and only prefixes below that bound are built; at
+    s = 1 the condition always holds.
+
+    The other two modes skip, before building any pair, each sequence whose
+    smallest integral multiple M cannot drop below the floor, so they drop no
+    row.  M is a multiple of den_s = Q/gcd(P, Q), the reduced denominator of
+    column s.  So M*total_s is a positive integer, never below C(s, s) = 1,
+    and M*total_j >= den_s*total_j for j < s.  total_j = a_j*x / (b_j*(x - d_j))
+    falls as x grows, so no column j < s reports once den_s >= B, where
+    B = max over j < s of ceil(C(s, j)*b_j*(d_max - d_j) / (a_j*d_max)); with
+    a_j = P/d_j, that is the ceiling of the largest C(s, j)*d_j*b_j*(d_max - d_j)
+    over P*d_max.  integral-violations reports only M <= 2, so there B = 3.
+    At s = 1 column s is the only column, so no sequence is left.  As
+    den_s >= Q/P and Q grows with x, a prefix's last degrees stop at the first
+    Q >= B*P.
     """
+    shape_only = mode == "shape-verify"
     if s == 1:
-        for x in range(1, d_max + 1):
-            yield (), x, [(1, 1)]
+        if shape_only:
+            for x in range(1, d_max + 1):
+                yield (), x, [(1, 1)]
         return
+    floor = [math.comb(s, j) for j in range(s)]
     for d1 in range(1, d_max - s + 2):
         top = min(d_max, s + 2 * d1 - 2) if shape_only else d_max
         for rest in combinations(range(d1 + 1, top), s - 2):
             prefix = (d1, *rest)
             factors = itemgetter(0, *prefix)
             product = math.prod(prefix)
-            columns = [(product // d, math.prod(factors(_DEN_FACTORS[d])), d) for d in prefix]
+            if shape_only:
+                bound = None
+            elif mode == "integral-violations":
+                bound = 3
+            else:
+                worst = max(
+                    floor[j] * d * (d_max - d) * math.prod(factors(_DEN_FACTORS[d]))
+                    for j, d in enumerate(prefix, 1)
+                )
+                bound = -(-worst // (product * d_max))
+            columns = None
             for x in range(prefix[-1] + 1, top + 1):
+                last = math.prod(factors(_DEN_FACTORS[x]))
+                if bound is not None:
+                    if last >= bound * product:
+                        break
+                    if last // math.gcd(product, last) >= bound:
+                        continue
+                if columns is None:
+                    columns = [
+                        (product // d, math.prod(factors(_DEN_FACTORS[d])), d) for d in prefix
+                    ]
                 pairs = [(a * x, b * (x - d)) for a, b, d in columns]
-                pairs.append((product, math.prod(factors(_DEN_FACTORS[x]))))
+                pairs.append((product, last))
                 yield prefix, x, pairs
 
 
@@ -260,10 +302,14 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
 
     `_walk` builds each prefix's products once and each sequence's pairs in
     O(s) from them; they equal the unreduced pairs of `pure.hk_pair`, which a
-    test asserts.  Every comparison is made on those integer pairs, and a
-    reported row is built from them and its degrees alone.  `sequences_checked`
-    is the size of the domain, sum over s of C(d_max, s), in every mode.  An s
-    range reaching outside [1, 8] is refused, quoting at most its first nine values.
+    test asserts.  In the two violation modes it skips, by one gcd, every
+    sequence whose last column's reduced denominator, a divisor of the
+    multiple, already lifts every column to the floor; `_walk` proves that
+    such a sequence has no row.  Every comparison is made on the integer
+    pairs, and a reported row is built from them and its degrees alone.
+    `sequences_checked` is the size of the domain, sum over s of C(d_max, s),
+    in every mode.  An s range reaching outside [1, 8] is refused, quoting at
+    most its first nine values.
     """
     if s_min > s_max:
         raise DomainError("empty s range")
@@ -284,13 +330,12 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
     for s in s_values:
         checked += math.comb(d_max, s)
         floor = [math.comb(s, j) for j in range(s + 1)]
-        if mode == "shape-verify":
-            for prefix, x, pairs in _walk(s, d_max, True):
+        for prefix, x, pairs in _walk(s, d_max, mode):
+            if mode == "shape-verify":
                 raw = _first_below(pairs, floor)
                 if raw is not None:
                     rows.append(ScanRow((0, *prefix, x), s, True, False, raw, _totals(pairs)))
-            continue
-        for prefix, x, pairs in _walk(s, d_max, False):
+                continue
             multiple = 1
             for num, den in pairs:
                 multiple = math.lcm(multiple, den // math.gcd(num, den))

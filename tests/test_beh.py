@@ -173,8 +173,8 @@ def test_scan_find_violations_lists_known_violator():
 def test_scan_rows_read_shape_off_the_walked_degrees(monkeypatch, mode):
     # no pure diagram meeting the shape condition violates the floor, so a
     # fabricated walk is the only way to see a reported row with a true shape
-    def walk(s, d_max, shape_only):
-        assert (s, shape_only) == (2, False)
+    def walk(s, d_max, walked_mode):
+        assert (s, walked_mode) == (2, mode)
         yield (1,), 2, [(1, 1), (1, 1)]  # d_2 - 2 = 0 <= 2*d_1 - 2
         yield (2,), 5, [(1, 1), (1, 1)]  # d_2 - 2 = 3 > 2*d_1 - 2 = 2
 

@@ -1,9 +1,10 @@
 """What `scan` visits and what it reports, against oracles of its own.
 
-The shape set is rebuilt by filtering every sequence, and the rows by a brute
-force over `helpers.hk_equation_solve`; neither calls library code.  The
-pairs of the walk `scan` runs on are held to `pure.hk_pair`, the one
-definition of the Herzog-Kuhl product.
+The shape set is rebuilt by filtering every sequence, the sequences the
+violation modes skip by their last column's reduced denominator, and the rows
+by a brute force over `helpers.hk_equation_solve`; none of them calls library
+code.  The pairs of the walk `scan` runs on are held to `pure.hk_pair`, the
+one definition of the Herzog-Kuhl product.
 """
 
 import functools
@@ -23,8 +24,13 @@ def _domain(s, d_max):
     return [(0,) + upper for upper in combinations(range(1, d_max + 1), s)]
 
 
-def _walked(s, d_max, shape_only):
-    return [(0, *prefix, x) for prefix, x, _ in _walk(s, d_max, shape_only)]
+def _walked(s, d_max, mode):
+    return [(0, *prefix, x) for prefix, x, _ in _walk(s, d_max, mode)]
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(degrees):
+    return hk_equation_solve(degrees)
 
 
 def test_shape_sequences_are_exactly_the_shape_set():
@@ -32,7 +38,7 @@ def test_shape_sequences_are_exactly_the_shape_set():
     for d_max in range(1, 21):
         for s in range(1, 9):
             expected = [d for d in _domain(s, d_max) if d[s] - s <= 2 * d[1] - 2]
-            assert _walked(s, d_max, True) == expected, (s, d_max)
+            assert _walked(s, d_max, "shape-verify") == expected, (s, d_max)
             sizes[s, d_max] = len(expected)
     # the shape set is 5% of the guard rail, and not empty at any s
     assert sum(sizes[s, 20] for s in range(1, 9)) == 13221
@@ -42,16 +48,22 @@ def test_shape_sequences_are_exactly_the_shape_set():
     assert all(sizes[1, d] == d for d in range(1, 21))
 
 
-def test_shape_verify_examines_exactly_the_shape_set(monkeypatch):
+def _record_walk(monkeypatch):
+    """Patch `beh._walk` to append each sequence it yields to the list returned."""
     examined = []
     walk = beh._walk
 
-    def recording(s, d_max, shape_only):
-        for prefix, x, pairs in walk(s, d_max, shape_only):
+    def recording(s, d_max, mode):
+        for prefix, x, pairs in walk(s, d_max, mode):
             examined.append((0, *prefix, x))
             yield prefix, x, pairs
 
     monkeypatch.setattr(beh, "_walk", recording)
+    return examined
+
+
+def test_shape_verify_examines_exactly_the_shape_set(monkeypatch):
+    examined = _record_walk(monkeypatch)
     for d_max in (5, 12, 20):
         examined.clear()
         report = scan(1, 8, d_max, "shape-verify")
@@ -64,13 +76,37 @@ def test_shape_verify_examines_exactly_the_shape_set(monkeypatch):
     assert report.sequences_checked == 263949
 
 
-@pytest.mark.parametrize("shape_only", [False, True])
-def test_walk_pairs_are_the_kernel_pairs(shape_only):
+def _skipped(mode, degrees, d_max):
+    """Whether the reduced denominator den_s of the last column rules the sequence out.
+
+    den_s divides the smallest integral multiple M, and M * total_s >= 1 =
+    C(s, s), so at s = 1 nothing can report.  integral-violations needs
+    M <= 2; otherwise the bound is the least integer B with
+    B * total_j >= C(s, j) for each j < s at the last degree d_max, where
+    total_j is smallest.
+    """
+    s = len(degrees) - 1
+    if s == 1:
+        return True
+    den = _solved(degrees)[s].denominator
+    if mode == "integral-violations":
+        return den >= 3
+    lowest = _solved(degrees[:-1] + (d_max,))
+    return den >= max(-(-math.comb(s, j) // lowest[j]) for j in range(1, s))
+
+
+def _walk_oracle(mode, s, d_max):
+    if mode == "shape-verify":
+        return [d for d in _domain(s, d_max) if d[s] - s <= 2 * d[1] - 2]
+    return [d for d in _domain(s, d_max) if not _skipped(mode, d, d_max)]
+
+
+@pytest.mark.parametrize("mode", SCAN_MODES)
+def test_walk_pairs_are_the_kernel_pairs(mode):
     for d_max in range(1, 13):
         for s in range(1, 7):
-            walked = list(_walk(s, d_max, shape_only))
-            if not shape_only:
-                assert [(0, *prefix, x) for prefix, x, _ in walked] == _domain(s, d_max)
+            walked = list(_walk(s, d_max, mode))
+            assert [(0, *prefix, x) for prefix, x, _ in walked] == _walk_oracle(mode, s, d_max)
             for prefix, x, pairs in walked:
                 degrees = (0, *prefix, x)
                 # unreduced: the same integers, not just the same fractions
@@ -79,11 +115,6 @@ def test_walk_pairs_are_the_kernel_pairs(shape_only):
 
 def _first_below(values, s):
     return next((j for j in range(s + 1) if values[j] < math.comb(s, j)), None)
-
-
-@functools.lru_cache(maxsize=None)
-def _solved(degrees):
-    return hk_equation_solve(degrees)
 
 
 def _brute_rows(mode, s, d_max):
@@ -123,6 +154,30 @@ def _check_against_brute_force(mode, s_values, d_max):
     assert report.sequences_checked == sum(math.comb(d_max, s) for s in s_values)
     assert _rows(report) == [r for s in s_values for r in widest[s]]
     return report
+
+
+@pytest.mark.parametrize("mode", ["find-violations", "integral-violations"])
+def test_every_row_is_on_a_walked_sequence(mode):
+    # the skip is exact: no sequence it drops has a brute-force row
+    rows = {s: [r[0] for r in _brute_rows(mode, s, 12)] for s in range(1, 9)}
+    for d_max in range(1, 13):
+        for s in range(1, 9):
+            walked = set(_walked(s, d_max, mode))
+            assert {d for d in rows[s] if d[-1] <= d_max} <= walked, (s, d_max)
+    # and it does skip: here at s = 8, d_max = 12
+    assert len(walked) < math.comb(12, 8)
+
+
+def test_violation_modes_fully_check_only_the_walked_sequences(monkeypatch):
+    examined = _record_walk(monkeypatch)
+    # 9% and 6% of the guard rail's 263,949 sequences reach the lcm
+    pins = [("find-violations", 23823, 307), ("integral-violations", 15712, 127)]
+    for mode, walked, findings in pins:
+        examined.clear()
+        report = scan(1, 8, 20, mode)
+        assert (len(examined), report.findings) == (walked, findings)
+        assert report.sequences_checked == 263949
+        assert {row.degrees for row in report.rows} <= set(examined)
 
 
 @pytest.mark.parametrize("mode", SCAN_MODES)
