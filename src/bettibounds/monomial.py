@@ -4,21 +4,18 @@ The lcm of every subset of the minimal generators is enumerated, and the
 subsets are grouped by it: the subsets with lcm m index the m-strand of the
 Taylor complex tensored with the field, whose homology at position i is the
 Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
-Each strand is settled without homology where it can be, and otherwise
-taken on the smaller of two exact complexes:
+Each strand is settled from the facets Phi_g = {k : g_k < m_k} of the upper
+Koszul complex K^m = {F subset of supp m : x^(m - F) in I}, one for each
+generator g dividing m; beta_{i,m} = dim reduced H_{i-2}(K^m)
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34):
 
 * a strand of one cell has no boundary and gives beta = 1 at its size;
-* a strand is skipped when some generator g divides m strictly on its
-  support, g_k < m_k at every k with m_k > 0.  Then g divides x^(m - F) for
-  every F subset of supp m, so K^m below is the full simplex on supp m and
-  has no reduced homology.  At m = 0 the rule holds only for the unit
-  ideal, generated by 0, whose Taylor strand {0, {g}} is acyclic;
-* when 2^|supp m| is below the strand's cell count, the upper Koszul
-  complex K^m = {F subset of supp m : x^(m - F) in I} is used instead, with
-  beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
-  Commutative Algebra, Thm 1.34);
-* otherwise the Taylor strand itself.  K^m may have 2^|supp m| faces, and
-  only nvars bounds supp m; the strand is bounded by the generator guard.
+* a strand is skipped when some Phi_g is all of supp m: K^m is then the full
+  simplex on supp m and has no reduced homology.  At m = 0 this holds only
+  for the unit ideal, generated by 0, whose Taylor strand {0, {g}} is acyclic;
+* K^m is used when a bound on its faces, the smaller of 2^|supp m| and the
+  sum of 2^|Phi_g|, is below the strand's cell count;
+* otherwise the Taylor strand itself, which the generator guard bounds.
 
 Both complexes have bitmask cells and share one homology routine; its ranks
 come from fraction-free integer elimination.  Characteristic zero throughout.
@@ -136,7 +133,7 @@ def _homology(cells) -> dict[int, int]:
     """
     levels: dict[int, list[int]] = {}
     for cell in sorted(cells):
-        levels.setdefault(bin(cell).count("1"), []).append(cell)
+        levels.setdefault(cell.bit_count(), []).append(cell)
     ranks: dict[int, int] = {}
     for level, masks in levels.items():
         below = {mask: pos for pos, mask in enumerate(levels.get(level - 1, ()))}
@@ -162,15 +159,10 @@ def _homology(cells) -> dict[int, int]:
     }
 
 
-def _upper_koszul_faces(multidegree: Sequence[int], dividing) -> set[int]:
-    """Faces of K^m = {F subset of supp m : x^(m - F) in I}, as variable bitmasks.
-
-    x^(m - F) is divisible by a generator g exactly when g divides m and
-    g_k < m_k for every k in F, so the facets are those coordinate sets.
-    """
+def _upper_koszul_faces(facets) -> set[int]:
+    """Faces of K^m generated by the given facet bitmasks: every submask of each."""
     faces = set()
-    for g in dividing:
-        facet = sum(1 << k for k, (a, b) in enumerate(zip(g, multidegree)) if a < b)
+    for facet in facets:
         face = facet
         while True:  # every submask of the facet, the empty face last
             faces.add(face)
@@ -180,14 +172,36 @@ def _upper_koszul_faces(multidegree: Sequence[int], dividing) -> set[int]:
     return faces
 
 
+def _settle(multidegree, masks, gens):
+    """(homology {level: count}, shift) of the m-strand on `masks`, or None if it is acyclic."""
+    if len(masks) == 1:
+        return {masks[0].bit_count(): 1}, 0  # a lone cell has no boundary
+    support = sum(1 << k for k, b in enumerate(multidegree) if b)
+    # the masks are increasing, so the last is the union of the strand: every
+    # generator g dividing m, each with its facet Phi_g = {k : g_k < m_k} of K^m
+    facets = []
+    for bit, g in enumerate(gens):
+        if masks[-1] >> bit & 1:
+            facet = sum(1 << k for k, (a, b) in enumerate(zip(g, multidegree)) if a < b)
+            if facet == support:
+                return None  # a strict divisor: K^m is the full simplex on supp m
+            facets.append(facet)
+    faces = min(1 << support.bit_count(), sum(1 << facet.bit_count() for facet in facets))
+    if faces < len(masks):
+        # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
+        return _homology(_upper_koszul_faces(facets)), 1
+    return _homology(masks), 0
+
+
 def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     """Betti diagram of the quotient by a monomial ideal (characteristic zero)."""
-    gens = ideal.generators
-    r = len(gens)
-    _check_generator_count(r)
-    lcm_of = [(0,) * ideal.nvars]
+    _check_generator_count(len(ideal.generators))
+    # a variable that no generator uses is 0 in every lcm and changes no strand
+    used = [k for k in range(ideal.nvars) if any(g[k] for g in ideal.generators)]
+    gens = [tuple(g[k] for k in used) for g in ideal.generators]
+    lcm_of = [(0,) * len(used)]
     strands: dict[tuple, list[int]] = {lcm_of[0]: [0]}
-    for mask in range(1, 1 << r):
+    for mask in range(1, 1 << len(gens)):
         low = mask & -mask
         multidegree = tuple(map(max, lcm_of[mask ^ low], gens[low.bit_length() - 1]))
         lcm_of.append(multidegree)
@@ -195,23 +209,10 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
 
     betti: dict[tuple[int, int], int] = {}
     for multidegree, masks in strands.items():
+        if (settled := _settle(multidegree, masks, gens)) is None:
+            continue
+        homology, shift = settled
         degree = sum(multidegree)
-        if len(masks) == 1:
-            # a lone cell has no boundary
-            homology, shift = {bin(masks[0]).count("1"): 1}, 0
-        else:
-            # the masks are increasing, so the last is the union of the strand:
-            # every generator dividing m
-            top = masks[-1]
-            dividing = [g for b, g in enumerate(gens) if top >> b & 1]
-            if any(all(a < b for a, b in zip(g, multidegree) if b) for g in dividing):
-                continue  # a strict divisor: the strand is acyclic
-            support = sum(1 for x in multidegree if x)
-            if 1 << support < len(masks):
-                # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
-                homology, shift = _homology(_upper_koszul_faces(multidegree, dividing)), 1
-            else:
-                homology, shift = _homology(masks), 0
         for level, count in homology.items():
             if count:
                 key = (level + shift, degree)

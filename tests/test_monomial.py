@@ -173,19 +173,40 @@ def _has_strict_divisor(ideal, m):
     )
 
 
+def _facets(ideal, m):
+    """Bitmasks of Phi_g = {k : g_k < m_k} for each generator g dividing m: the facets of K^m."""
+    return [
+        sum(1 << k for k, (a, b) in enumerate(zip(g, m)) if a < b)
+        for g in ideal.generators
+        if all(a <= b for a, b in zip(g, m))
+    ]
+
+
 def test_oracle_ideals_have_strands_larger_than_their_koszul_cube():
-    # the engine trades a Taylor strand for K^m when 2^|supp m| < strand size
+    # the engine trades a Taylor strand for K^m when a bound on its faces,
+    # min(2^|supp m|, sum over g | m of 2^|Phi_g|), is below the strand size
     # and no generator divides m strictly; the oracle comparisons below cover
-    # that branch through these ideals (15 such strands, 4 of them in the
+    # that branch through these ideals (97 such strands, 34 of them in the
     # equigenerated ideals; 134 more have a strict divisor and are skipped)
     switched = 0
     for ideal in oracle_ideals():
-        switched += sum(
-            1
-            for m, masks in _strands(ideal).items()
-            if 2 ** sum(1 for x in m if x) < len(masks) and not _has_strict_divisor(ideal, m)
-        )
+        for m, masks in _strands(ideal).items():
+            cube = 2 ** sum(1 for x in m if x)
+            faces = min(cube, sum(2 ** bin(facet).count("1") for facet in _facets(ideal, m)))
+            switched += faces < len(masks) and not _has_strict_divisor(ideal, m)
     assert switched >= 10
+
+
+def _cap_homology_cells(monkeypatch, cap):
+    """Make `monomial._homology` fail on any complex of more than `cap` cells."""
+    original = monomial._homology
+
+    def bounded(cells):
+        cells = list(cells)
+        assert len(cells) <= cap, len(cells)
+        return original(cells)
+
+    monkeypatch.setattr(monomial, "_homology", bounded)
 
 
 def test_wide_support_strand_stays_on_its_taylor_strand(monkeypatch):
@@ -193,17 +214,44 @@ def test_wide_support_strand_stays_on_its_taylor_strand(monkeypatch):
     # {ab, abc}, two cells with no strict divisor, while c's facet of K^m has
     # 18 coordinates; K^m there would be 2^18 faces and a dense
     # C(18,9) x C(18,8) boundary matrix
-    original = monomial._homology
-
-    def bounded(cells):
-        cells = list(cells)
-        assert len(cells) <= 8, len(cells)
-        return original(cells)
-
-    monkeypatch.setattr(monomial, "_homology", bounded)
+    _cap_homology_cells(monkeypatch, 8)
     a, b, c = [1] * 10 + [0] * 10, [0] * 10 + [1] * 10, [1] + [0] * 9 + [1] + [0] * 9
     ideal = minimalize(20, [a, b, c])
     assert taylor_betti(ideal) == BettiDiagram({(0, 0): 1, (1, 2): 1, (1, 10): 2, (2, 11): 2})
+
+
+def test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex(monkeypatch):
+    # g_i = x_1...x_k / x_i: at m = x_1...x_k the Taylor strand is every subset
+    # of at least two generators, 2^k - k - 1 cells, and 2^|supp m| = 2^k is not
+    # below that; but g_i falls short of m only at i, so the facets of K^m are
+    # k points, and K^m has k + 1 faces
+    _cap_homology_cells(monkeypatch, 64)
+    k = 16
+    ideal = minimalize(k, [[int(v != i) for v in range(k)] for i in range(k)])
+    assert taylor_betti(ideal).totals() == (1, k, k - 1)
+
+
+def test_koszul_cube_below_the_facet_sum_still_picks_k_m(monkeypatch):
+    # at m = x0^3 x1^3 x2^2 the Taylor strand has 15 cells and the six facets
+    # of K^m sum to 18 faces, but 2^|supp m| = 8 bounds K^m (7 faces) below both
+    _cap_homology_cells(monkeypatch, 8)
+    ideal = minimalize(3, [(0, 1, 2), (0, 3, 1), (1, 0, 3), (2, 0, 2), (3, 2, 1), (3, 3, 0)])
+    assert dict(taylor_betti(ideal).items()) == upper_koszul_betti(ideal)
+
+
+def test_variables_no_generator_uses_are_dropped(monkeypatch):
+    # x0..x11 in 1000 variables: an lcm of 1000 coordinates per subset is waste
+    original = monomial._settle
+    widths = set()
+
+    def recorded(multidegree, masks, gens):
+        widths.add(len(multidegree))
+        return original(multidegree, masks, gens)
+
+    monkeypatch.setattr(monomial, "_settle", recorded)
+    ideal = minimalize(1000, [[int(v == i) for v in range(1000)] for i in range(12)])
+    assert taylor_betti(ideal) == koszul(12)
+    assert widths == {12}
 
 
 def test_taylor_betti_matches_upper_koszul_oracle():
@@ -343,9 +391,9 @@ def test_strands_with_a_strict_divisor_carry_no_homology():
             if len(masks) == 1 or not _has_strict_divisor(ideal, m):
                 continue
             skipped += 1
-            dividing = [g for g in ideal.generators if all(a <= b for a, b in zip(g, m))]
             assert any(m), ideal  # m = 0 has two cells only for the unit ideal
-            assert not any(monomial._homology(monomial._upper_koszul_faces(m, dividing)).values())
+            faces = monomial._upper_koszul_faces(_facets(ideal, m))
+            assert not any(monomial._homology(faces).values())
             assert not any(monomial._homology(masks).values())
     assert skipped >= 300
 
