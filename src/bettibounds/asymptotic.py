@@ -61,11 +61,7 @@ def _bound_product(codim: int, defect: int, j: int, e1: int) -> tuple[int, int]:
     Numerator (1 + e1) ... (j-1 + e1) * (j+1 + e1 + b) ... (c + e1 + b) over
     (1+b)...(j-1+b) * (1+b)...(c-j+b).
     """
-    numerator = 1
-    for i in range(1, j):
-        numerator = numerator * (i + e1)
-    for i in range(j + 1, codim + 1):
-        numerator = numerator * (i + e1 + defect)
+    numerator = math.perm(j - 1 + e1, j - 1) * math.perm(codim + e1 + defect, codim - j)
     return numerator, math.perm(j - 1 + defect, j - 1) * math.perm(codim - j + defect, codim - j)
 
 

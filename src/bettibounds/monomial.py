@@ -28,8 +28,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence, Tuple
+from itertools import combinations, combinations_with_replacement, islice
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .diagram import BettiDiagram, load_json
 from .errors import FormatError, TooManyGeneratorsError
@@ -68,7 +68,10 @@ class MonomialIdeal:
         gens = payload["generators"]
         if not isinstance(gens, list) or not gens:
             raise FormatError("generators must be a nonempty list")
-        return minimalize(nvars, gens)
+        # stop at the first minimal generator beyond the guard
+        minimal = tuple(islice(_minimal_generators(nvars, gens), MAX_GENERATORS + 1))
+        _check_generator_count(len(minimal), lower_bound=True)
+        return cls(nvars, minimal)
 
 
 def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -80,6 +83,11 @@ def minimalize(nvars: int, generators: Iterable[Sequence[int]]) -> MonomialIdeal
 
     Each generator is a list or tuple of nvars entries of type int, each >= 0.
     """
+    return MonomialIdeal(nvars, tuple(_minimal_generators(nvars, generators)))
+
+
+def _minimal_generators(nvars: int, generators: Iterable[Sequence[int]]) -> Iterator[tuple]:
+    """Check every generator, then yield the minimal ones in graded-lex order."""
     vectors = set()
     for g in generators:
         shaped = isinstance(g, (list, tuple)) and len(g) == nvars
@@ -88,12 +96,13 @@ def minimalize(nvars: int, generators: Iterable[Sequence[int]]) -> MonomialIdeal
         vectors.add(tuple(g))
     if not vectors:
         raise FormatError("need at least one generator")
-    minimal = [
-        g
-        for g in vectors
-        if not any(other != g and _divides(other, g) for other in vectors)
-    ]
-    return MonomialIdeal(nvars, tuple(sorted(minimal, key=lambda g: (sum(g), g))))
+    # a strict divisor has a smaller degree, so it comes first in graded-lex
+    # order, and only the minimal generators yielded so far need to be tried
+    minimal = []
+    for g in sorted(vectors, key=lambda g: (sum(g), g)):
+        if not any(_divides(m, g) for m in minimal):
+            minimal.append(g)
+            yield g
 
 
 def _rational_rank(rows) -> int:
@@ -199,12 +208,11 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     # a variable that no generator uses is 0 in every lcm and changes no strand
     used = [k for k in range(ideal.nvars) if any(g[k] for g in ideal.generators)]
     gens = [tuple(g[k] for k in used) for g in ideal.generators]
-    lcm_of = [(0,) * len(used)]
-    strands: dict[tuple, list[int]] = {lcm_of[0]: [0]}
-    for mask in range(1, 1 << len(gens)):
-        low = mask & -mask
-        multidegree = tuple(map(max, lcm_of[mask ^ low], gens[low.bit_length() - 1]))
-        lcm_of.append(multidegree)
+    lcm_of = [(0,) * len(used)]  # the lcm of the subset with bitmask i at index i
+    for g in gens:
+        lcm_of += [tuple(map(max, m, g)) for m in lcm_of]
+    strands: dict[tuple, list[int]] = {}
+    for mask, multidegree in enumerate(lcm_of):
         strands.setdefault(multidegree, []).append(mask)
 
     betti: dict[tuple[int, int], int] = {}

@@ -509,8 +509,11 @@ def _run_into_closed_pipe(*argv):
 
 
 def test_a_closed_stdout_pipe_is_one_output_error_line():
-    argv = ["scan", "--s-min", "5", "--s-max", "5", "--d-max", "8", "--mode", "find-violations"]
-    _assert_one_output_error(_run_into_closed_pipe(*argv))
+    # the guard-rail scan outgrows the pipe's buffer and fails at a write; the
+    # small scan fails at a flush, which must come before the stderr summary
+    for s_min, s_max, d_max in (("1", "8", "20"), ("5", "5", "8")):
+        argv = ["scan", "--s-min", s_min, "--s-max", s_max, "--d-max", d_max]
+        _assert_one_output_error(_run_into_closed_pipe(*argv, "--mode", "find-violations"))
 
 
 def test_a_closed_stdout_pipe_under_decompose_validate_is_one_output_error_line(tmp_path):

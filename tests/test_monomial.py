@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -43,6 +44,23 @@ def test_minimalize_examples():
     # m^3 together with x reduces to {x, y^3}
     cubes = [(3, 0), (2, 1), (1, 2), (0, 3), (1, 0)]
     assert set(minimalize(2, cubes).generators) == {(1, 0), (0, 3)}
+    # every x^a y^(30-a), twice, and their multiples by x and y: more minimal
+    # generators than the guard of taylor_betti, all of them kept
+    antichain = [(a, 30 - a) for a in range(31)]
+    multiples = [(a + 1, b) for a, b in antichain] + [(a, b + 1) for a, b in antichain]
+    assert minimalize(2, multiples + antichain[::-1] + antichain).generators == tuple(antichain)
+
+
+def test_ideal_file_is_refused_at_the_first_generator_beyond_the_guard():
+    # 6,001 minimal generators, refused long before all pairs are compared
+    text = json.dumps({"nvars": 2, "generators": [[a, 6000 - a] for a in range(6001)]})
+    with pytest.raises(TooManyGeneratorsError) as excinfo:
+        MonomialIdeal.from_json(text)
+    assert str(excinfo.value) == "more than 20 generators exceeds the guard of 20"
+    # 8,000 entries with 3 minimal generators are within it
+    gens = [[1 + i % 40, 1 + i // 40] for i in range(8000)] + [[0, 5], [5, 0], [1, 1]]
+    ideal = MonomialIdeal.from_json(json.dumps({"nvars": 2, "generators": gens}))
+    assert ideal.generators == ((1, 1), (0, 5), (5, 0))
 
 
 def test_minimalize_validation():
