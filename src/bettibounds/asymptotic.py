@@ -55,14 +55,16 @@ def _first_gap(delta: int, t: int) -> int:
     return delta * t - 1
 
 
-def _bound_product(codim: int, defect: int, j: int, e1: int) -> tuple[int, int]:
-    """The bound at first gap e1, as the pair (numerator, integer denominator).
+def _bound_denominator(codim: int, defect: int, j: int) -> int:
+    """The t-independent denominator (1+b)...(j-1+b) * (1+b)...(c-j+b) of the bound."""
+    return math.perm(j - 1 + defect, j - 1) * math.perm(codim - j + defect, codim - j)
 
-    Numerator (1 + e1) ... (j-1 + e1) * (j+1 + e1 + b) ... (c + e1 + b) over
-    (1+b)...(j-1+b) * (1+b)...(c-j+b).
-    """
+
+def _bound_product(codim: int, defect: int, j: int, e1: int) -> tuple[int, int]:
+    """The bound at first gap e1 as the pair (numerator, `_bound_denominator`), with
+    numerator (1 + e1) ... (j-1 + e1) * (j+1 + e1 + b) ... (c + e1 + b)."""
     numerator = math.perm(j - 1 + e1, j - 1) * math.perm(codim + e1 + defect, codim - j)
-    return numerator, math.perm(j - 1 + defect, j - 1) * math.perm(codim - j + defect, codim - j)
+    return numerator, _bound_denominator(codim, defect, j)
 
 
 def exact_lower_bound(params: PowerBoundParams) -> Fraction:
@@ -72,10 +74,10 @@ def exact_lower_bound(params: PowerBoundParams) -> Fraction:
 
 
 def leading_coefficient(codim: int, delta: int, defect: int, j: int) -> Fraction:
-    """(b!)^2 * delta^(c-1) / ((j-1+b)! * (c-j+b)!), which is delta^(c-1) over the
-    integer denominator of `_bound_product`."""
+    """(b!)^2 * delta^(c-1) / ((j-1+b)! * (c-j+b)!), which is delta^(c-1) over
+    `_bound_denominator`."""
     PowerBoundParams(codim, delta, defect, j, 1)
-    return Fraction(delta ** (codim - 1), _bound_product(codim, defect, j, 0)[1])
+    return Fraction(delta ** (codim - 1), _bound_denominator(codim, defect, j))
 
 
 def leading_bound(params: PowerBoundParams) -> Fraction:

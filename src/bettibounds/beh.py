@@ -19,13 +19,12 @@ visits only the sequences that meet the shape condition, the only ones it
 could report.  The two violation modes skip, by one gcd, every sequence
 whose last column's reduced denominator already lifts every column to the
 floor: it divides the smallest integral multiple, so such a sequence has no
-row.  The "N sequences" of every scan summary is the size of the whole
-domain.
+row.  A report's `sequences_checked` is the size of the whole domain.  The
+reports are data: `cli` writes them as text, JSON and CSV.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .diagram import BettiDiagram, format_rational
+from .diagram import BettiDiagram
 from .errors import DomainError, NoFirstSyzygyError
 from .pure import _shape_holds, herzog_kuhl
 
@@ -60,14 +59,6 @@ class ColumnCheck:
     def passed(self) -> bool:
         return self.actual >= self.required
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "actual": format_rational(self.actual),
-            "required": format_rational(self.required),
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class BehReport:
@@ -83,19 +74,6 @@ class BehReport:
 
     def failures(self) -> Tuple[ColumnCheck, ...]:
         return tuple(check for check in self.per_j if not check.passed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "codim": self.codim,
-            "beta0": format_rational(self.beta0),
-            "per_j": [check.to_json_dict() for check in self.per_j],
-            "hypothesis_met": self.hypothesis_met,
-            "overall": self.overall,
-            "notes": list(self.notes),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
@@ -154,21 +132,6 @@ class ScanRow:
     first_violating_j: int
     betti_totals: Tuple[Fraction, ...]
 
-    def to_csv(self) -> str:
-        return ";".join(
-            [
-                ",".join(str(d) for d in self.degrees),
-                str(self.s),
-                "true" if self.shape else "false",
-                "true" if self.beh_pass else "false",
-                str(self.first_violating_j),
-                ",".join(format_rational(v) for v in self.betti_totals),
-            ]
-        )
-
-
-CSV_HEADER = "degrees;s;shape;beh_pass;first_violating_j;betti_totals"
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -181,16 +144,6 @@ class ScanReport:
     @property
     def findings(self) -> int:
         return len(self.rows)
-
-    def to_csv(self) -> str:
-        return "\n".join([CSV_HEADER] + [row.to_csv() for row in self.rows])
-
-    def summary(self) -> str:
-        return (
-            f"scan mode={self.mode} s={min(self.s_values)}..{max(self.s_values)} "
-            f"d_max={self.d_max}: {self.sequences_checked} sequences, "
-            f"{self.findings} findings"
-        )
 
 
 # Row d, entry e: the factor a degree e brings to the Herzog-Kuhl denominator

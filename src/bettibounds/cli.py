@@ -4,6 +4,9 @@ Exit codes: 0 = success or all checks passed; 1 = a mathematical finding
 (a violated bound, a diagram outside the decomposable cone); 2 = usage or
 input error.  Every failure, argparse's included, prints one `error: <kind>:
 <detail>` line on stderr; only --help and --version exit through SystemExit.
+
+The library returns report data, and every report a command prints is written
+here; `BettiDiagram` and `MonomialIdeal` keep their own file formats.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from . import __version__
 from .asymptotic import PowerBoundParams, bound_vs_pure, exact_lower_bound, leading_bound
 from .beh import SCAN_MODES, beh_check, pure_beh_check, scan
 from .decompose import decompose, validate_bounds
-from .diagram import BettiDiagram, format_grid, format_rational
+from .diagram import (
+    BettiDiagram,
+    check_degree_sequence,
+    check_table_size,
+    format_grid,
+    format_rational,
+)
 from .errors import BettiError, FormatError, NotInConeError, UsageError
 from .monomial import MonomialIdeal, corpus, taylor_betti
 from .pure import (
@@ -40,11 +49,12 @@ def _error_slug(exc: BettiError) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.removesuffix("Error")).lower()
 
 
-def _parse_degrees(text: str):
+def _parse_ints(text: str, noun: str) -> tuple:
+    """A comma list of integers; a FormatError quoting the text as a `noun` if not."""
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise FormatError(f"cannot parse degree sequence {text!r}") from None
+        raise FormatError(f"cannot parse {noun} {text!r}") from None
 
 
 def _read_file(path: str) -> str:
@@ -65,25 +75,82 @@ def _print_diagram(diagram: BettiDiagram, fmt: str):
         print(diagram.table())
 
 
+# -- report writers ------------------------------------------------------------
+
+CSV_HEADER = "degrees;s;shape;beh_pass;first_violating_j;betti_totals"
+
+
+def _commas(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _truth(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _beh_json(report) -> dict:
+    return {
+        "codim": report.codim,
+        "beta0": format_rational(report.beta0),
+        "per_j": [
+            {"j": c.j, "actual": format_rational(c.actual),
+             "required": format_rational(c.required), "pass": c.passed}
+            for c in report.per_j
+        ],
+        "hypothesis_met": report.hypothesis_met,
+        "overall": report.overall,
+        "notes": list(report.notes),
+    }
+
+
 def _print_beh_report(report, fmt: str, heading=None):
     if fmt == "json":
-        print(report.to_json())
+        print(json.dumps(_beh_json(report)))
         return
     if heading:
         print(heading)
     print(f"codim: {report.codim}")
     print(f"beta0: {format_rational(report.beta0)}")
-    print(f"hypothesis met: {'true' if report.hypothesis_met else 'false'}")
+    print(f"hypothesis met: {_truth(report.hypothesis_met)}")
     for note in report.notes:
         print(f"note: {note}")
     for check in report.per_j:
         relation = ">=" if check.passed else "<"
         print(f"j={check.j}: {format_rational(check.actual)} {relation} {format_rational(check.required)}")
-    print(f"overall: {'PASS' if report.overall else 'FAIL'}")
+    print(f"overall: {_verdict(report.overall)}")
+
+
+def _scan_csv(report) -> str:
+    """The header, then one `;`-separated line per reported row."""
+    lines = [CSV_HEADER]
+    for row in report.rows:
+        totals = _commas(map(format_rational, row.betti_totals))
+        flags = f"{_truth(row.shape)};{_truth(row.beh_pass)}"
+        lines.append(f"{_commas(row.degrees)};{row.s};{flags};{row.first_violating_j};{totals}")
+    return "\n".join(lines)
+
+
+def _verify_json(report) -> dict:
+    violations = [
+        {"e": [format_rational(x) for x in v.e], "j": v.j, "k": v.k,
+         "value": format_rational(v.value)}
+        for v in report.violations
+    ]
+    return {"lemma": report.name, "samples": report.samples, "seed": report.seed,
+            "violations": violations}
 
 
 def _cmd_pure(args) -> int:
-    _print_diagram(herzog_kuhl(_parse_degrees(args.degrees)), args.format)
+    degrees = check_degree_sequence(_parse_ints(args.degrees, "degree sequence"))
+    if args.format == "table":
+        # refused before the diagram is built: rows by offset d_i - i, columns 0..s
+        s = len(degrees) - 1
+        check_table_size(degrees[s] - s - degrees[0] + 1, s + 1)
+    _print_diagram(herzog_kuhl(degrees), args.format)
     return EXIT_OK
 
 
@@ -91,15 +158,16 @@ def _cmd_decompose(args) -> int:
     diagram = _read_diagram(args.file)
     decomposition = decompose(diagram)
     if args.format == "json":
-        print(decomposition.to_json())
+        terms = [{"coefficient": format_rational(c), "degrees": list(d)} for c, d in decomposition]
+        print(json.dumps({"terms": terms}))
     else:
         print("coefficient  degrees")
         for coefficient, degrees in decomposition:
-            print(f"{format_rational(coefficient)}  {','.join(str(d) for d in degrees)}")
+            print(f"{format_rational(coefficient)}  {_commas(degrees)}")
     if args.validate:
         report = validate_bounds(decomposition, diagram)
         sys.stdout.flush()  # a failed write must fail before stderr reports the bounds
-        print(f"bounds: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
+        print(f"bounds: {_verdict(report.passed)}", file=sys.stderr)
         if not report.passed:
             return EXIT_FINDING
     return EXIT_OK
@@ -113,28 +181,28 @@ def _cmd_check_beh(args) -> int:
 
 
 def _cmd_check_pure(args) -> int:
-    degrees = _parse_degrees(args.degrees)
+    degrees = _parse_ints(args.degrees, "degree sequence")
     report = pure_beh_check(degrees)
-    heading = f"degrees: {','.join(str(d) for d in degrees)}"
-    _print_beh_report(report, args.format, heading=heading)
+    _print_beh_report(report, args.format, heading=f"degrees: {_commas(degrees)}")
     return EXIT_OK if report.overall else EXIT_FINDING
 
 
 def _cmd_scan(args) -> int:
     report = scan(args.s_min, args.s_max, args.d_max, args.mode)
-    print(report.to_csv())
+    print(_scan_csv(report))
     sys.stdout.flush()  # a failed write must fail before stderr reports the summary
-    print(report.summary(), file=sys.stderr)
+    print(
+        f"scan mode={report.mode} s={min(report.s_values)}..{max(report.s_values)} "
+        f"d_max={report.d_max}: {report.sequences_checked} sequences, {report.findings} findings",
+        file=sys.stderr,
+    )
     return EXIT_FINDING if report.findings else EXIT_OK
 
 
 def _cmd_asymptotic(args) -> int:
     tail = None
     if args.e_tail is not None:
-        try:
-            tail = tuple(int(x) for x in args.e_tail.split(",")) if args.e_tail else ()
-        except ValueError:
-            raise FormatError(f"cannot parse gap tail {args.e_tail!r}") from None
+        tail = _parse_ints(args.e_tail, "gap tail") if args.e_tail else ()
     # checks every parameter, t_max >= 1 included, before tabulating
     PowerBoundParams(args.codim, args.delta, args.defect, args.j, args.t_max)
     rows = []
@@ -162,10 +230,11 @@ def _cmd_verify_lemmas(args) -> int:
         verify_binomial_floor(args.s_max, args.samples, args.seed),
     ]
     if args.format == "json":
-        print(json.dumps({"reports": [r.to_json_dict() for r in reports]}))
+        print(json.dumps({"reports": [_verify_json(r) for r in reports]}))
     else:
-        for report in reports:
-            print(report.summary())
+        for r in reports:
+            status = _verdict(r.passed) + (f" ({len(r.violations)} violations)" if r.violations else "")
+            print(f"{r.name}: {r.samples} samples, seed {r.seed}, s <= {r.s_max}: {status}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FINDING
 
 

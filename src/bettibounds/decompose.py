@@ -19,13 +19,12 @@ built, and the only Fraction made is the term's coefficient.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, exact_value, format_rational, seq_leq
+from .diagram import BettiDiagram, check_degree_sequence, exact_value, seq_leq
 from .errors import DomainError, NotInConeError
 from .pure import hk_pair
 
@@ -41,16 +40,6 @@ class Decomposition:
 
     def __len__(self):
         return len(self.terms)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"coefficient": format_rational(c), "degrees": list(d)} for c, d in self.terms
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def decompose(diagram: BettiDiagram) -> Decomposition:

@@ -82,6 +82,17 @@ def load_json(text: str):
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
+def check_table_size(rows: int, columns: int):
+    """Raise DomainError when the rows, checked first, or the columns exceed MAX_TABLE_ROWS."""
+    for count, what in ((rows, "rows"), (columns, "columns")):
+        if count > MAX_TABLE_ROWS:
+            # format_rational refuses a count beyond the interpreter's digit limit
+            raise DomainError(
+                f"the table would have {format_rational(count)} {what}, "
+                f"more than {MAX_TABLE_ROWS}; the json format has no such limit"
+            )
+
+
 def format_grid(rows) -> str:
     """Rows of strings as lines, every column right-justified to its widest cell."""
     widths = [max(map(len, column)) for column in zip(*rows)]
@@ -257,21 +268,15 @@ class BettiDiagram:
     def table(self) -> str:
         """Human-readable table: rows indexed by j - i, columns by i, "." for zero.
 
-        Raises DomainError when the rows or the columns would number more than
-        MAX_TABLE_ROWS.
+        Raises DomainError, by `check_table_size`, when the rows or the columns
+        would number more than MAX_TABLE_ROWS.
         """
         if not self._entries:
             return "(empty Betti diagram)"
         offsets = [j - i for i, j in self._entries]
         low, high = min(offsets), max(offsets)
         columns = range(self.projective_dimension() + 1)
-        for count, what in ((high - low + 1, "rows"), (columns.stop, "columns")):
-            if count > MAX_TABLE_ROWS:
-                # format_rational refuses a count beyond the interpreter's digit limit
-                raise DomainError(
-                    f"the table would have {format_rational(count)} {what}, "
-                    f"more than {MAX_TABLE_ROWS}; the json format has no such limit"
-                )
+        check_table_size(high - low + 1, columns.stop)
         grid = [[""] + [str(i) for i in columns]]
         grid.append(["total:"] + [format_rational(t) for t in self.totals()])
         for r in range(low, high + 1):

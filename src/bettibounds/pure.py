@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, exact_value, format_rational
+from .diagram import BettiDiagram, check_degree_sequence, exact_value
 from .errors import DomainError
 
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
@@ -194,14 +194,6 @@ class Violation:
     k: Optional[int]
     value: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "e": [format_rational(x) for x in self.e],
-            "j": self.j,
-            "k": self.k,
-            "value": format_rational(self.value),
-        }
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -214,18 +206,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.name,
-            "samples": self.samples,
-            "seed": self.seed,
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"
-        return f"{self.name}: {self.samples} samples, seed {self.seed}, s <= {self.s_max}: {status}"
 
 
 def _sample_coordinate(rng: random.Random, max_value: int = 10) -> int:

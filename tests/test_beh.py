@@ -16,7 +16,7 @@ from bettibounds import (
     shape_hypothesis,
 )
 from bettibounds import beh
-from bettibounds.beh import CSV_HEADER
+from bettibounds.cli import CSV_HEADER, _beh_json, _scan_csv
 
 from helpers import corpus_diagrams, koszul
 
@@ -114,7 +114,7 @@ def test_pure_beh_check_examples():
 
 
 def test_beh_report_json():
-    payload = pure_beh_check((0, 1, 3)).to_json_dict()
+    payload = _beh_json(pure_beh_check((0, 1, 3)))
     assert payload["codim"] == 2
     assert payload["per_j"][1] == {"j": 1, "actual": "3/2", "required": "2", "pass": False}
     assert payload["overall"] is False
@@ -150,7 +150,7 @@ def test_scan_shape_verify_small():
     report = scan(1, 4, 8, "shape-verify")
     assert report.findings == 0
     assert report.sequences_checked == sum(math.comb(8, s) for s in range(1, 5))
-    assert report.to_csv() == CSV_HEADER
+    assert _scan_csv(report) == CSV_HEADER
 
 
 def test_scan_find_violations_excludes_codim_two():
@@ -198,7 +198,7 @@ def test_scan_integral_violations_includes_half_integral_class():
 
 def test_scan_csv_format():
     report = scan(5, 5, 8, "find-violations")
-    lines = report.to_csv().splitlines()
+    lines = _scan_csv(report).splitlines()
     assert lines[0] == CSV_HEADER
     target = next(line for line in lines if line.startswith("0,1,2,3,5,6;"))
     assert target == "0,1,2,3,5,6;5;false;false;4;1,9/2,15/2,5,3/2,1/2"

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ import pytest
 from bettibounds import BettiDiagram, MonomialIdeal, herzog_kuhl, pure
 from bettibounds.cli import main
 
-from helpers import koszul
+from helpers import koszul, time_limit
 
 
 def run(capsys, *argv):
@@ -37,9 +40,11 @@ def test_pure_table(capsys):
 
 
 def test_pure_bad_degrees(capsys):
-    code, _, err = run(capsys, "pure", "--degrees", "0,0,1")
-    assert code == 2
-    assert err.startswith("error: invalid-sequence:")
+    # the second would also be a table too large: the sequence is refused first
+    for degrees in ("0,0,1", "0,99999999999999999999,5"):
+        code, _, err = run(capsys, "pure", "--degrees", degrees)
+        assert code == 2
+        assert err.startswith("error: invalid-sequence:")
 
 
 def test_check_pure_violation_exit_and_message(capsys):
@@ -174,6 +179,13 @@ def test_asymptotic_table_and_json(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert rows[0] == {"t": 1, "leading": "1/4", "exact": "1", "pure": "2"}
+
+
+def test_an_empty_gap_tail_is_the_empty_tail(capsys):
+    argv = ["asymptotic", "--codim", "1", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "1"]
+    code, out, err = run(capsys, *argv, "--e-tail", "", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"rows": [{"t": 1, "leading": "1", "exact": "1", "pure": "1"}]}
 
 
 def test_verify_lemmas_runs_and_passes(capsys):
@@ -381,6 +393,17 @@ def test_pure_table_beyond_the_row_limit_is_a_domain_error(capsys, degrees):
     assert err.startswith("error: domain: the table would have ")
 
 
+def test_pure_table_beyond_the_column_limit_is_refused_before_the_diagram_is_built(capsys):
+    # herzog_kuhl on these 10,002 degrees takes minutes; the refusal needs none of it
+    with time_limit(5):
+        code, out, err = run(capsys, "pure", "--degrees", ",".join(map(str, range(10002))))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: domain: the table would have 10002 columns, more than 10000; "
+        "the json format has no such limit\n"
+    )
+
+
 def test_pure_json_has_no_row_limit(capsys):
     code, out, err = run(capsys, "pure", "--degrees", "0,99999999999999999999", "--format", "json")
     assert code == 0 and err == ""
@@ -528,3 +551,20 @@ def test_a_full_stdout_device_is_one_output_error_line():
     with open("/dev/full", "w") as full:
         result = _run_into(full, "pure", "--degrees", "0,1,2,4")
     _assert_one_output_error(result)
+
+
+@pytest.mark.parametrize("name", ["beh", "pure", "decompose"])
+def test_the_library_returns_reports_and_cli_writes_them(name):
+    # the package exports a function named decompose, so the module is looked up by name
+    module = importlib.import_module(f"bettibounds.{name}")
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"json", "format_rational"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"to_json", "to_json_dict", "to_csv", "summary"}
+    assert not hasattr(module, "CSV_HEADER")

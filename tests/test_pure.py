@@ -19,6 +19,7 @@ from bettibounds import (
 )
 from bettibounds.errors import InvalidSequenceError
 from bettibounds import pure
+from bettibounds.cli import _verify_json
 from bettibounds.pure import _log_gradient, _sample_gap_vector, hk_pair
 
 from helpers import (
@@ -293,7 +294,8 @@ def test_reported_gradient_value_is_the_exact_combination_of_partials(monkeypatc
     # the flip negates every partial, pure_total_partial's too, so the sweep
     # reports each partial of the lemma's own sign, with its value negated
     _flip_log_gradient(monkeypatch)
-    first_gap = {v.j: v for v in verify_first_gap_monotone(5, 1, 5).violations}
+    first_gap_report = verify_first_gap_monotone(5, 1, 5)
+    first_gap = {v.j: v for v in first_gap_report.violations}
     inward = {(v.j, v.k): v for v in verify_inward_shift_monotone(5, 1, 5).violations}
     first = first_gap[2]
     assert (first.e, first.j, first.k) == (e, 2, 1)
@@ -309,7 +311,8 @@ def test_reported_gradient_value_is_the_exact_combination_of_partials(monkeypatc
     for (j, k), row in inward.items():
         lead = j if k < j else j + 1
         assert row.value == column_total_partial(j, k, e) - column_total_partial(j, lead, e)
-    assert first.to_json_dict()["e"] == ["5/8", "0", "3", "5/64", "15/2"]
+    written = {row["j"]: row for row in _verify_json(first_gap_report)["violations"]}
+    assert written[2]["e"] == ["5/8", "0", "3", "5/64", "15/2"]
 
 
 # -- the constrained split form --------------------------------------------------------
@@ -381,7 +384,7 @@ def test_verify_reports_pass_smoke():
         report = verify(s_max=6, samples=200, seed=1)
         assert report.passed, report.violations[:3]
         assert report.samples == 200
-        payload = report.to_json_dict()
+        payload = _verify_json(report)
         assert set(payload) == {"lemma", "samples", "seed", "violations"}
         assert payload["violations"] == []
 
