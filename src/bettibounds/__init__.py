@@ -8,13 +8,7 @@ complexes on the LCM lattice.  All arithmetic is exact rational.
 
 __version__ = "0.1.0"
 
-from .asymptotic import (
-    PowerBoundParams,
-    bound_vs_pure,
-    exact_lower_bound,
-    leading_bound,
-    leading_coefficient,
-)
+from .asymptotic import power_bounds
 from .beh import (
     beh_check,
     pure_beh_check,
@@ -60,20 +54,16 @@ __all__ = [
     "MonomialIdeal",
     "NoFirstSyzygyError",
     "NotInConeError",
-    "PowerBoundParams",
     "TooManyGeneratorsError",
     "beh_check",
-    "bound_vs_pure",
     "check_degree_sequence",
     "corpus",
     "decompose",
-    "exact_lower_bound",
     "format_rational",
     "herzog_kuhl",
-    "leading_bound",
-    "leading_coefficient",
     "minimalize",
     "parse_rational",
+    "power_bounds",
     "pure_beh_check",
     "pure_shape_check",
     "pure_total",

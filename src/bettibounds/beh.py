@@ -72,9 +72,6 @@ class BehReport:
     def overall(self) -> bool:
         return all(check.passed for check in self.per_j)
 
-    def failures(self) -> Tuple[ColumnCheck, ...]:
-        return tuple(check for check in self.per_j if not check.passed)
-
 
 def beh_check(diagram: BettiDiagram, codim: Optional[int] = None) -> BehReport:
     """Compare column totals against beta_0 * C(codim, j) for j = 0..codim.

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asymptotic import PowerBoundParams, bound_vs_pure, exact_lower_bound, leading_bound
+from .asymptotic import power_bounds
 from .beh import SCAN_MODES, beh_check, pure_beh_check, scan
 from .decompose import decompose, validate_bounds
 from .diagram import (
@@ -203,18 +203,12 @@ def _cmd_asymptotic(args) -> int:
     tail = None
     if args.e_tail is not None:
         tail = _parse_ints(args.e_tail, "gap tail") if args.e_tail else ()
-    # checks every parameter, t_max >= 1 included, before tabulating
-    PowerBoundParams(args.codim, args.delta, args.defect, args.j, args.t_max)
     rows = []
-    for t in range(1, args.t_max + 1):
-        params = PowerBoundParams(args.codim, args.delta, args.defect, args.j, t)
-        row = {
-            "t": t,
-            "leading": format_rational(leading_bound(params)),
-            "exact": format_rational(exact_lower_bound(params)),
-        }
-        if tail is not None:
-            row["pure"] = format_rational(bound_vs_pure(params, tail).pure_value)
+    bounds = power_bounds(args.codim, args.delta, args.defect, args.j, args.t_max, tail)
+    for t, leading, exact, pure in bounds:
+        row = {"t": t, "leading": format_rational(leading), "exact": format_rational(exact)}
+        if pure is not None:
+            row["pure"] = format_rational(pure)
         rows.append(row)
     if args.format == "json":
         print(json.dumps({"rows": rows}))

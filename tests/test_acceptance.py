@@ -19,11 +19,9 @@ from bettibounds import (
     BettiDiagram,
     NoFirstSyzygyError,
     beh_check,
-    bound_vs_pure,
     decompose,
-    exact_lower_bound,
     herzog_kuhl,
-    leading_coefficient,
+    power_bounds,
     pure_shape_check,
     pure_total,
     recompose,
@@ -31,7 +29,6 @@ from bettibounds import (
     taylor_betti,
     validate_bounds,
     MonomialIdeal,
-    PowerBoundParams,
 )
 from bettibounds.cli import main
 
@@ -101,7 +98,7 @@ def test_criterion_2():
     assert code == 1
     assert "j=1: 3 < 4" in out
     report = beh_check(generic, codim=2)
-    failure = report.failures()[0]
+    failure = next(c for c in report.per_j if not c.passed)
     assert (failure.j, failure.actual, failure.required) == (1, 3, 4)
 
 
@@ -184,13 +181,11 @@ def test_criterion_8():
                 for j in range(1, codim + 1):
                     # the bound is a product of codim - 1 factors linear in t: its
                     # (codim-1)-th differences are (codim-1)! * lead and the next is 0
-                    diffs = [
-                        exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
-                        for t in range(1, codim + 2)
-                    ]
+                    rows = list(power_bounds(codim, delta, defect, j, codim + 1))
+                    diffs = [row.exact for row in rows]
                     for _ in range(codim - 1):
                         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-                    lead = leading_coefficient(codim, delta, defect, j)
+                    lead = rows[0].leading  # t^(c-1) = 1 at t = 1
                     assert lead > 0
                     assert diffs == [math.factorial(codim - 1) * lead] * 2
     for codim in range(1, 5):
@@ -205,9 +200,8 @@ def test_criterion_8():
                                 tail[min(j + 1, s - 1) - 1] += defect - at_j
                             if sum(tail) > defect:
                                 continue
-                            for t in range(1, 21):
-                                params = PowerBoundParams(codim, delta, defect, j, t)
-                                assert bound_vs_pure(params, tuple(tail)).passed
+                            for row in power_bounds(codim, delta, defect, j, 20, tail):
+                                assert row.pure >= row.exact >= row.leading
 
 
 @criterion(9, "monomial Betti engine", 60.0)

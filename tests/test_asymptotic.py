@@ -8,12 +8,8 @@ import pytest
 from bettibounds import (
     BettiDiagram,
     DomainError,
-    PowerBoundParams,
-    bound_vs_pure,
-    exact_lower_bound,
-    leading_bound,
-    leading_coefficient,
     minimalize,
+    power_bounds,
     pure_total,
     shape_hypothesis,
 )
@@ -34,28 +30,34 @@ def direct_product_bound(codim, delta, defect, j, t):
     return value
 
 
+def exact_column(codim, delta, defect, j, t_max):
+    """The exact bounds at t = 1..t_max."""
+    return [row.exact for row in power_bounds(codim, delta, defect, j, t_max)]
+
+
 def test_exact_bound_examples():
-    for t in range(1, 8):
-        assert exact_lower_bound(PowerBoundParams(2, 2, 0, 1, t)) == 2 * t + 1
-    assert exact_lower_bound(PowerBoundParams(1, 3, 2, 1, 9)) == 1  # empty products
-    assert exact_lower_bound(PowerBoundParams(3, 1, 1, 2, 5)) == 10
+    assert exact_column(2, 2, 0, 1, 7) == [2 * t + 1 for t in range(1, 8)]
+    assert exact_column(1, 3, 2, 1, 9)[-1] == 1  # empty products
+    assert exact_column(3, 1, 1, 2, 5)[-1] == 10
 
 
 def test_exact_bound_matches_direct_product():
-    for codim, delta, defect, t in product(range(1, 6), (1, 2, 3), (0, 1, 3), (1, 4, 9)):
+    for codim, delta, defect in product(range(1, 6), (1, 2, 3), (0, 1, 3)):
         for j in range(1, codim + 1):
-            params = PowerBoundParams(codim, delta, defect, j, t)
-            assert exact_lower_bound(params) == direct_product_bound(codim, delta, defect, j, t)
+            exact = exact_column(codim, delta, defect, j, 9)
+            for t in (1, 4, 9):
+                assert exact[t - 1] == direct_product_bound(codim, delta, defect, j, t)
 
 
 def test_leading_bound_examples():
-    for t in range(1, 6):
-        assert leading_bound(PowerBoundParams(2, 2, 0, 1, t)) == 2 * t
-        assert leading_bound(PowerBoundParams(3, 1, 0, 1, t)) == Fraction(t * t, 2)
+    for row in power_bounds(2, 2, 0, 1, 5):
+        assert row.leading == 2 * row.t
+    for row in power_bounds(3, 1, 0, 1, 5):
+        assert row.leading == Fraction(row.t * row.t, 2)
     # j = c with no defect: delta^(c-1) t^(c-1) / (c-1)!
     for c in range(1, 6):
-        value = leading_bound(PowerBoundParams(c, 2, 0, c, 3))
-        assert value == Fraction(2 ** (c - 1) * 3 ** (c - 1), math.factorial(c - 1))
+        *_, row = power_bounds(c, 2, 0, c, 3)
+        assert row.leading == Fraction(2 ** (c - 1) * 3 ** (c - 1), math.factorial(c - 1))
 
 
 def test_leading_coefficient_is_the_top_term():
@@ -64,13 +66,10 @@ def test_leading_coefficient_is_the_top_term():
             # a product of codim - 1 factors linear in t has degree codim - 1 and
             # leading coefficient lead exactly when, over codim + 1 consecutive t,
             # its (codim-1)-th differences are (codim-1)! * lead and the next is 0
-            diffs = [
-                exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
-                for t in range(1, codim + 2)
-            ]
+            diffs = exact_column(codim, delta, defect, j, codim + 1)
             for _ in range(codim - 1):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            lead = leading_coefficient(codim, delta, defect, j)
+            lead = next(power_bounds(codim, delta, defect, j, 1)).leading  # t^(c-1) = 1
             assert lead > 0
             assert diffs == [math.factorial(codim - 1) * lead] * 2
 
@@ -81,21 +80,24 @@ def test_exact_bound_dominates_leading_term():
     # coefficients and the bound beats its top term
     for codim, delta, defect in product(range(1, 6), (1, 2), (0, 2)):
         for j in range(1, codim + 1):
-            for t in (1, 5, 20):
-                params = PowerBoundParams(codim, delta, defect, j, t)
-                assert exact_lower_bound(params) >= leading_bound(params)
+            for row in power_bounds(codim, delta, defect, j, 20):
+                assert row.exact >= row.leading
 
 
 def test_monotonicity_grid():
     for codim in range(1, 7):
         for j in range(1, codim + 1):
+            exact = {
+                (delta, defect): exact_column(codim, delta, defect, j, 10)
+                for delta, defect in product(range(1, 11), range(0, 6))
+            }
             for delta, defect, t in product(range(1, 11), range(0, 5), range(1, 11)):
-                base = exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
+                base = exact[delta, defect][t - 1]
                 if t < 10:
-                    assert exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t + 1)) >= base
+                    assert exact[delta, defect][t] >= base
                 if delta < 10:
-                    assert exact_lower_bound(PowerBoundParams(codim, delta + 1, defect, j, t)) >= base
-                assert exact_lower_bound(PowerBoundParams(codim, delta, defect + 1, j, t)) <= base
+                    assert exact[delta + 1, defect][t - 1] >= base
+                assert exact[delta, defect + 1][t - 1] <= base
 
 
 def test_longer_gap_vectors_only_grow():
@@ -117,20 +119,17 @@ def test_bound_vs_pure_constrained_tails():
                     tail = [0] * (s - 1)
                     if s >= 2 and defect:
                         tail[min(j, s - 1) - 1] = defect  # mass at position j (or j+1 clipped)
-                    for t in range(1, 21):
-                        params = PowerBoundParams(codim, 2, defect, j, t)
-                        comparison = bound_vs_pure(params, tuple(tail))
-                        assert comparison.passed, comparison
+                    for row in power_bounds(codim, 2, defect, j, 20, tail):
+                        assert row.pure >= row.exact >= row.leading, row
 
 
 def test_bound_vs_pure_equality_at_matching_length():
     # with no defect and s = codim the pure value equals the bound exactly
     for codim in range(1, 6):
         for j in range(1, codim + 1):
+            rows = list(power_bounds(codim, 3, 0, j, 7, (0,) * (codim - 1)))
             for t in (1, 2, 7):
-                params = PowerBoundParams(codim, 3, 0, j, t)
-                comparison = bound_vs_pure(params, (0,) * (codim - 1))
-                assert comparison.pure_value == comparison.exact_bound
+                assert rows[t - 1].pure == rows[t - 1].exact
 
 
 def power_diagrams():
@@ -163,7 +162,7 @@ def genuine_bound_checks(delta, t, diagram):
     codim = diagram.codimension()
     defect = diagram.regularity() + 1 - delta * t
     for j in range(1, codim + 1):
-        yield diagram.totals()[j], exact_lower_bound(PowerBoundParams(codim, delta, defect, j, t))
+        yield diagram.totals()[j], exact_column(codim, delta, defect, j, t)[-1]
 
 
 def test_exact_bound_holds_on_powers_of_the_maximal_ideal():
@@ -190,29 +189,30 @@ def test_exact_bound_holds_on_genuine_powers():
 
 
 def test_parameter_validation():
-    with pytest.raises(DomainError):
-        PowerBoundParams(0, 1, 0, 1, 1)
-    with pytest.raises(DomainError):
-        PowerBoundParams(2, 0, 0, 1, 1)
-    with pytest.raises(DomainError):
-        PowerBoundParams(2, 1, -1, 1, 1)
-    with pytest.raises(DomainError):
-        PowerBoundParams(2, 1, 0, 3, 1)
-    with pytest.raises(DomainError):
-        PowerBoundParams(2, 1, 0, 1, 0)
-    with pytest.raises(DomainError):
-        bound_vs_pure(PowerBoundParams(3, 1, 1, 1, 1), ())  # s < codim
-    with pytest.raises(DomainError):
-        bound_vs_pure(PowerBoundParams(2, 1, 1, 1, 1), (2,))  # tail sum > defect
+    # every check runs when the table is asked for, before any row is read
+    with pytest.raises(DomainError, match="codim must be >= 1"):
+        power_bounds(0, 1, 0, 1, 1)
+    with pytest.raises(DomainError, match="delta must be >= 1"):
+        power_bounds(2, 0, 0, 1, 1)
+    with pytest.raises(DomainError, match="defect must be >= 0"):
+        power_bounds(2, 1, -1, 1, 1)
+    with pytest.raises(DomainError, match=r"j must lie in 1\.\.2"):
+        power_bounds(2, 1, 0, 3, 1)
+    with pytest.raises(DomainError, match="t must be >= 1"):
+        power_bounds(2, 1, 0, 1, 0)
+    with pytest.raises(DomainError, match="need s >= codim"):
+        power_bounds(3, 1, 1, 1, 1, ())  # s < codim
+    with pytest.raises(DomainError, match="gap tail sums to 2 > defect 1"):
+        power_bounds(2, 1, 1, 1, 1, (2,))  # tail sum > defect
 
 
 @pytest.mark.parametrize("args", [(2, 1.5, 0, 1, 1), (2, True, 0, 1, 2), (2, 1, 0, 1, 2.5)])
 def test_parameters_must_be_integers(args):
     with pytest.raises(DomainError):
-        PowerBoundParams(*args)
+        power_bounds(*args)
 
 
 @pytest.mark.parametrize("tail", [(1.9, 0.5), (True, 0), (Fraction(1), 0), ("1", 0)])
 def test_bound_vs_pure_refuses_non_integer_tails(tail):
     with pytest.raises(DomainError):
-        bound_vs_pure(PowerBoundParams(3, 1, 2, 1, 1), tail)
+        power_bounds(3, 1, 2, 1, 1, tail)

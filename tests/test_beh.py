@@ -46,7 +46,7 @@ def test_beh_check_generic_2x3():
     assert report.codim == 2
     assert report.beta0 == 2
     assert not report.hypothesis_met
-    failing = report.failures()
+    failing = [c for c in report.per_j if not c.passed]
     assert (failing[0].j, failing[0].actual, failing[0].required) == (1, 3, 4)
     assert not report.overall
     # default codimension agrees with the Hilbert-numerator computation
@@ -102,11 +102,11 @@ def test_beh_check_free_module_note():
 def test_pure_beh_check_examples():
     report = pure_beh_check((0, 1, 2, 3, 5, 6))
     assert not report.overall
-    first_fail = report.failures()[0]
+    first_fail = next(c for c in report.per_j if not c.passed)
     assert (first_fail.j, first_fail.actual, first_fail.required) == (1, Fraction(9, 2), 5)
 
     report = pure_beh_check((0, 1, 2, 4))
-    assert [c.j for c in report.failures()] == [1, 2, 3]
+    assert [c.j for c in report.per_j if not c.passed] == [1, 2, 3]
     assert not pure_shape_check((0, 1, 2, 4))
 
     for s in range(1, 7):

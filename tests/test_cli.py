@@ -454,6 +454,33 @@ def test_output_beyond_the_digit_limit_is_a_domain_error(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "tail, detail",
+    [("0", "need s >= codim, got s=2 < 2000"), ("-1", "gap tail must be nonnegative integers, got (-1,)")],
+)
+def test_a_bad_gap_tail_is_refused_before_any_row_is_printed(capsys, tail, detail):
+    # the first row's leading term has more digits than the interpreter prints
+    argv = ["asymptotic", "--codim", "2000", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "1"]
+    code, out, err = run(capsys, *argv, "--e-tail", tail)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: domain: {detail}\n"
+
+
+def test_the_digit_limit_refusal_comes_at_the_first_row(capsys):
+    # rows are computed as they are printed, so 3000 rows of 2000-factor
+    # products are never built before the first row's refusal
+    argv = ["asymptotic", "--codim", "2000", "--delta", "1", "--defect", "0", "--j", "1000", "--t-max", "3000"]
+    with time_limit(2):
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: domain: a value has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for printing an integer\n"
+    )
+
+
 def test_vplusm_monomial_of_the_wrong_degree_is_quoted_not_computed(capsys):
     # the summed exponent has more digits than the interpreter will print
     nines = "9" * sys.get_int_max_str_digits()
