@@ -15,13 +15,12 @@ from .beh import (
     scan,
     shape_hypothesis,
 )
-from .decompose import Decomposition, decompose, recompose, validate_bounds
+from .decompose import decompose, recompose, validate_bounds
 from .diagram import (
     BettiDiagram,
     check_degree_sequence,
     format_rational,
     parse_rational,
-    seq_leq,
 )
 from .errors import (
     DomainError,
@@ -46,7 +45,6 @@ from .pure import (
 __all__ = [
     "__version__",
     "BettiDiagram",
-    "Decomposition",
     "DomainError",
     "FormatError",
     "GapColumnError",
@@ -70,7 +68,6 @@ __all__ = [
     "pure_total_partial",
     "recompose",
     "scan",
-    "seq_leq",
     "shape_hypothesis",
     "taylor_betti",
     "validate_bounds",

@@ -16,11 +16,21 @@ term and, given a gap tail, the pure column total as rationals for t = 1..t_max.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from .diagram import digit_limit_error
 from .errors import DomainError
 from .pure import pure_total
+
+
+def _floor_log2_sum(low: int, high: int) -> int:
+    """Sum of floor(log2 f) over 1 <= low <= f <= high, one bit length k at a time."""
+    total = 0
+    for k in range(low.bit_length(), high.bit_length() + 1):
+        total += (k - 1) * (min(high, (1 << k) - 1) - max(low, 1 << (k - 1)) + 1)
+    return total
 
 
 class PowerBoundRow(NamedTuple):
@@ -43,7 +53,8 @@ def power_bounds(
     with first gap e1 = delta*t - 1.  Given a gap tail (nonnegative integers
     summing to at most the defect, with s = len(tail) + 1 >= codim), pure is
     the column-j total at (e1, *tail), which dominates exact, which dominates
-    leading.  Every parameter and the tail are checked before the first row.
+    leading.  Every parameter and the tail are checked before the first row, and
+    a first leading value too long to print is refused as `format_rational` would.
     """
     params = (codim, delta, defect, j, t_max)
     if any(type(x) is not int for x in params):  # bool is an int subclass
@@ -66,6 +77,18 @@ def power_bounds(
             raise DomainError(f"need s >= codim, got s={len(tail) + 1} < {codim}")
         if sum(tail) > defect:
             raise DomainError(f"gap tail sums to {sum(tail)} > defect {defect}")
+    # leading at t = 1 is delta^(c-1) over c - 1 factors f; in lowest terms its
+    # denominator is >= 2^(floors - powers) and its numerator > 2^(powers - 2(c-1) -
+    # floors), floors being the sum of floor(log2 f) and powers (c-1)*bit_length(delta).
+    # 2^bits >= 2^(10/3 * limit) > 10^limit is too long to print, so it is refused
+    # before any product is built (a limit of 0 is no limit)
+    floors = _floor_log2_sum(1 + defect, j - 1 + defect)
+    floors += _floor_log2_sum(1 + defect, codim - j + defect)
+    powers = (codim - 1) * delta.bit_length()
+    bits = max(floors - powers, powers - 2 * (codim - 1) - floors)
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * bits >= 10 * limit:
+        raise digit_limit_error()
     denominator = math.perm(j - 1 + defect, j - 1) * math.perm(codim - j + defect, codim - j)
     lead = Fraction(delta ** (codim - 1), denominator)
 

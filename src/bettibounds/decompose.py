@@ -2,11 +2,11 @@
 
 Any diagram of a graded module is a positive rational combination of
 normalized pure diagrams whose degree sequences form a chain.  The greedy
-loop below constructs one: read off the minimal degree of each column,
-subtract the largest multiple of that pure diagram that keeps all entries
-nonnegative, and repeat.  Each step zeroes at least one entry and creates
-none, so the loop ends within as many steps as the diagram has entries.
-Inputs outside the reach of this procedure raise NotInConeError.
+loop below returns one as a tuple of (coefficient, degrees) terms: read off
+the minimal degree of each column, subtract the largest multiple of that pure
+diagram that keeps all entries nonnegative, and repeat.  Each step zeroes at
+least one entry and creates none, so the loop ends within as many steps as
+the diagram has entries.  Inputs outside its reach raise NotInConeError.
 
 The loop works on a private copy of the input, one stack of (degree,
 numerator, denominator) triples per column with the minimal degree on top;
@@ -24,26 +24,16 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from .diagram import BettiDiagram, check_degree_sequence, exact_value, seq_leq
+from .diagram import BettiDiagram, check_degree_sequence, exact_value
 from .errors import DomainError, NotInConeError
 from .pure import hk_pair
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Ordered (coefficient, degree sequence) terms; coefficients all positive."""
-
-    terms: Tuple[Tuple[Fraction, Tuple[int, ...]], ...]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
+Term = Tuple[Fraction, Tuple[int, ...]]
 
 
-def decompose(diagram: BettiDiagram) -> Decomposition:
-    """Greedy chain decomposition; exact, and invertible by :func:`recompose`."""
+def decompose(diagram: BettiDiagram) -> Tuple[Term, ...]:
+    """Greedy chain of positive (coefficient, degrees) terms; exact, inverted by `recompose`."""
     if not diagram:
         raise DomainError("cannot decompose the zero diagram")
     # column i -> its (degree, num, den) triples, highest degree first
@@ -89,10 +79,10 @@ def decompose(diagram: BettiDiagram) -> Decomposition:
                 if not column:
                     del columns[i]
         terms.append((coefficient, degrees))
-    return Decomposition(tuple(terms))
+    return tuple(terms)
 
 
-def recompose(decomposition: Decomposition) -> BettiDiagram:
+def recompose(terms: Tuple[Term, ...]) -> BettiDiagram:
     """Exact sum of coefficient * pure diagram over all terms.
 
     Each entry is summed as a reduced integer pair, so its size follows its
@@ -100,7 +90,7 @@ def recompose(decomposition: Decomposition) -> BettiDiagram:
     type int or Fraction; anything else is a FormatError.
     """
     table: dict[tuple[int, int], tuple[int, int]] = {}
-    for coefficient, degrees in decomposition:
+    for coefficient, degrees in terms:
         degrees = check_degree_sequence(degrees)
         coefficient = exact_value(coefficient, "coefficient")
         cn, cd = coefficient.numerator, coefficient.denominator
@@ -131,8 +121,6 @@ class TermBounds:
 class BoundsReport:
     codim: int
     projective_dimension: int
-    min_degrees: Tuple[int, ...]
-    max_degrees: Tuple[int, ...]
     recompose_matches: bool
     per_term: Tuple[TermBounds, ...]
 
@@ -141,7 +129,7 @@ class BoundsReport:
         return self.recompose_matches and all(t.passed for t in self.per_term)
 
 
-def validate_bounds(decomposition: Decomposition, diagram: BettiDiagram) -> BoundsReport:
+def validate_bounds(terms: Tuple[Term, ...], diagram: BettiDiagram) -> BoundsReport:
     """Check every term against the support bounds of the source diagram.
 
     A term of length s + 1 must satisfy codim <= s <= projective dimension and
@@ -153,14 +141,15 @@ def validate_bounds(decomposition: Decomposition, diagram: BettiDiagram) -> Boun
     dmin = diagram.min_degrees()
     dmax = diagram.max_degrees()
     per_term = []
-    for _, degrees in decomposition:
+    for _, degrees in terms:
         s = len(degrees) - 1
         length_ok = codim <= s <= pdim
         if s <= pdim:
-            lower_ok = seq_leq(dmin[: s + 1], degrees)
-            upper_ok = seq_leq(degrees, dmax[: s + 1])
+            # zip stops at the term's s + 1 entries
+            lower_ok = all(a <= d for a, d in zip(dmin, degrees))
+            upper_ok = all(d <= b for d, b in zip(degrees, dmax))
         else:
             lower_ok = upper_ok = False
         per_term.append(TermBounds(degrees, length_ok, lower_ok, upper_ok))
-    matches = recompose(decomposition) == diagram
-    return BoundsReport(codim, pdim, dmin, dmax, matches, tuple(per_term))
+    matches = recompose(terms) == diagram
+    return BoundsReport(codim, pdim, matches, tuple(per_term))

@@ -61,15 +61,20 @@ def exact_value(raw, noun: str) -> Fraction:
     raise FormatError(f"{noun} must be an int or a Fraction, got {kind.__name__}")
 
 
+def digit_limit_error() -> DomainError:
+    """The refusal of a value with more digits than the interpreter prints."""
+    return DomainError(
+        f"a value has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for printing an integer"
+    )
+
+
 def format_rational(value) -> str:
     """Render a rational as "p" or "p/q" in lowest terms with q > 0."""
     try:
         return str(Fraction(value))
     except ValueError:  # the interpreter's limit on integer string conversion
-        raise DomainError(
-            f"a value has more than {sys.get_int_max_str_digits()} digits, "
-            "the interpreter's limit for printing an integer"
-        ) from None
+        raise digit_limit_error() from None
 
 
 def load_json(text: str):
@@ -234,15 +239,9 @@ class BettiDiagram:
 
     # -- wire format -----------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                {"i": i, "j": j, "value": format_rational(v)} for (i, j), v in self.items()
-            ]
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        entries = [{"i": i, "j": j, "value": format_rational(v)} for (i, j), v in self.items()]
+        return json.dumps({"entries": entries})
 
     @classmethod
     def from_json(cls, text: str) -> "BettiDiagram":
@@ -306,10 +305,3 @@ def check_degree_sequence(degrees: Sequence[int]) -> DegreeSequence:
         if nxt <= prev:
             raise InvalidSequenceError(f"not strictly increasing: {out}")
     return out
-
-
-def seq_leq(lower: Sequence[int], upper: Sequence[int]) -> bool:
-    """Termwise comparison of equal-length degree sequences."""
-    if len(lower) != len(upper):
-        raise DomainError(f"lengths {len(lower)} and {len(upper)} differ")
-    return all(a <= b for a, b in zip(lower, upper))

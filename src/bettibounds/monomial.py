@@ -51,11 +51,8 @@ class MonomialIdeal:
     nvars: int
     generators: Tuple[Tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"nvars": self.nvars, "generators": [list(g) for g in self.generators]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return json.dumps({"nvars": self.nvars, "generators": [list(g) for g in self.generators]})
 
     @classmethod
     def from_json(cls, text: str) -> "MonomialIdeal":

@@ -240,15 +240,22 @@ def random_chain(rng: random.Random, s: int, n_terms: int, step=2):
     return chain
 
 
+def pure_sum(terms):
+    """The diagram sum of c * herzog_kuhl(d) over (c, d) in terms, summed in a plain dict."""
+    table = {}
+    for coefficient, degrees in terms:
+        for key, value in herzog_kuhl(degrees).items():
+            table[key] = table.get(key, 0) + coefficient * value
+    return BettiDiagram(table)
+
+
 def random_pure_combination(rng: random.Random, s_max=4, max_terms=3):
     """Integral multiple of a random nonnegative-integer chain combination."""
     s = rng.randint(1, s_max)
     chain = random_chain(rng, s, rng.randint(1, max_terms))
-    total = BettiDiagram()
-    for degrees in chain:
-        total = total + rng.randint(1, 5) * herzog_kuhl(degrees)
-    clear = math.lcm(*(value.denominator for _, value in total.items()))
-    return clear * total
+    terms = [(rng.randint(1, 5), degrees) for degrees in chain]
+    clear = math.lcm(*(value.denominator for _, value in pure_sum(terms).items()))
+    return pure_sum((clear * c, degrees) for c, degrees in terms)
 
 
 def _rank(rows):

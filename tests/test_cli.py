@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -481,6 +482,51 @@ def test_the_digit_limit_refusal_comes_at_the_first_row(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "codim, delta",
+    [("1000000", "1"), ("2000", "1" + "0" * 3999)],
+    ids=["denominator", "numerator"],
+)
+def test_a_vast_leading_value_is_refused_by_a_bound_before_any_product(capsys, codim, delta):
+    # leading at t = 1 is 1/(10^6 - 1)!, of about 5.5 million digits, or
+    # 10^(3999 * 1999)/1999!; a bound on the bit lengths refuses either unbuilt
+    argv = ["asymptotic", "--codim", codim, "--delta", delta, "--defect", "0", "--j", "1", "--t-max", "1"]
+    with time_limit(2):
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: domain: a value has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for printing an integer\n"
+    )
+
+
+def test_without_a_digit_limit_a_large_codimension_prints_its_rows(capsys):
+    # a limit of 0 is no limit, so the bound refuses nothing: 1/1999! is printed
+    argv = ["asymptotic", "--codim", "2000", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "1"]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run(capsys, *argv)
+        expected = f"1/{math.factorial(1999)}"
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 0 and err == ""
+    header, row = out.splitlines()
+    assert header.split() == ["t", "leading", "exact"]
+    assert row.split() == ["1", expected, "2000"]
+
+
+def test_a_numerator_that_cancels_the_denominator_is_not_refused(capsys):
+    # delta = 1 + b = 10^2200: the denominator (1 + b)^2 has 4,401 digits, but
+    # delta^2 cancels it and leading is 1, so the bound counts delta's bits
+    delta = 10**2200
+    argv = ["asymptotic", "--codim", "3", "--delta", str(delta), "--defect", str(delta - 1)]
+    code, out, err = run(capsys, *argv, "--j", "2", "--t-max", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split() == ["1", "1", f"{2 * delta + 1}/{delta}"]
+
+
 def test_vplusm_monomial_of_the_wrong_degree_is_quoted_not_computed(capsys):
     # the summed exponent has more digits than the interpreter will print
     nines = "9" * sys.get_int_max_str_digits()
@@ -593,5 +639,5 @@ def test_the_library_returns_reports_and_cli_writes_them(name):
     }
     assert not imported & {"json", "format_rational"}
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"to_json", "to_json_dict", "to_csv", "summary"}
+    assert not defined & {"to_json", "to_csv", "summary"}
     assert not hasattr(module, "CSV_HEADER")

@@ -6,7 +6,6 @@ import pytest
 
 from bettibounds import (
     BettiDiagram,
-    Decomposition,
     DomainError,
     FormatError,
     NotInConeError,
@@ -27,6 +26,7 @@ from helpers import (
     hk_equation_solve,
     koszul,
     random_monomial_ideal,
+    pure_sum,
     random_pure_combination,
     random_sparse_diagram,
     time_limit,
@@ -60,8 +60,10 @@ def test_non_cohen_macaulay_quotient():
     assert terms == [(Fraction(1, 2), (0, 2, 3)), (Fraction(1, 2), (0, 2))]
     # first greedy step by hand: pure totals of (0,2,3) are (1, 3, 2)
     assert herzog_kuhl((0, 2, 3)).totals() == (1, 3, 2)
-    remainder = diagram - Fraction(1, 2) * herzog_kuhl((0, 2, 3))
-    assert remainder == BettiDiagram({(0, 0): Fraction(1, 2), (1, 2): Fraction(1, 2)})
+    remainder = dict(diagram.items())
+    for key, value in herzog_kuhl((0, 2, 3)).items():
+        remainder[key] -= Fraction(1, 2) * value
+    assert BettiDiagram(remainder) == BettiDiagram({(0, 0): Fraction(1, 2), (1, 2): Fraction(1, 2)})
 
 
 def test_scaled_pure_diagram_round_trip():
@@ -69,7 +71,7 @@ def test_scaled_pure_diagram_round_trip():
     for _ in range(20):
         degrees = tuple(sorted(rng.sample(range(0, 12), rng.randint(2, 5))))
         coefficient = Fraction(rng.randint(1, 30), rng.randint(1, 8))
-        diagram = coefficient * herzog_kuhl(degrees)
+        diagram = pure_sum([(coefficient, degrees)])
         assert list(decompose(diagram)) == [(coefficient, degrees)]
 
 
@@ -78,7 +80,7 @@ def test_recompose_inverts_decompose_on_corpus():
         decomposition = decompose(diagram)
         assert recompose(decomposition) == diagram, name
         assert all(coefficient > 0 for coefficient, _ in decomposition)
-        assert chain_on_shared_prefix(decomposition.terms)
+        assert chain_on_shared_prefix(decomposition)
         assert len(decomposition) <= len(diagram)
         report = validate_bounds(decomposition, diagram)
         assert report.passed, (name, report)
@@ -92,7 +94,7 @@ def test_recompose_inverts_on_random_combinations():
         decomposition = decompose(diagram)
         assert recompose(decomposition) == diagram
         assert all(coefficient > 0 for coefficient, _ in decomposition)
-        assert chain_on_shared_prefix(decomposition.terms)
+        assert chain_on_shared_prefix(decomposition)
         assert len(decomposition) <= len(diagram)
         assert validate_bounds(decomposition, diagram).passed
 
@@ -126,14 +128,14 @@ def test_random_sparse_diagrams_decompose_or_meet_a_named_obstruction():
 def test_empty_and_invalid_inputs():
     with pytest.raises(DomainError):
         decompose(BettiDiagram())
-    assert recompose(Decomposition(())) == BettiDiagram()
-    assert recompose(Decomposition(((2, (0, 1, 3)),))) == 2 * herzog_kuhl((0, 1, 3))
+    assert recompose(()) == BettiDiagram()
+    assert recompose(((2, (0, 1, 3)),)) == pure_sum([(2, (0, 1, 3))])
 
 
 @pytest.mark.parametrize("coefficient", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
 def test_recompose_refuses_coefficients_other_than_int_and_fraction(coefficient):
     with pytest.raises(FormatError) as excinfo:
-        recompose(Decomposition(((coefficient, (0, 1, 3)),)))
+        recompose(((coefficient, (0, 1, 3)),))
     assert str(excinfo.value) == (
         f"coefficient must be an int or a Fraction, got {type(coefficient).__name__}"
     )
@@ -210,7 +212,7 @@ def test_decompose_recovers_long_chains_exactly():
         terms = bumped_chain(rng, s)
         diagram = chain_diagram(terms)
         decomposition = decompose(diagram)
-        assert decomposition.terms == tuple(terms), s
+        assert decomposition == tuple(terms), s
         assert recompose(decomposition) == diagram
         assert validate_bounds(decomposition, diagram).passed
 
@@ -221,7 +223,7 @@ def test_a_200_term_chain_on_shared_entries_recomposes_exactly():
     terms = bumped_chain(random.Random(7), 3, n_terms=200)
     diagram = chain_diagram(terms)
     decomposition = decompose(diagram)
-    assert decomposition.terms == tuple(terms)
+    assert decomposition == tuple(terms)
     assert validate_bounds(decomposition, diagram).passed
     assert recompose(decomposition) == diagram
 
@@ -279,10 +281,20 @@ def test_validate_bounds_report_content():
 
 def test_validate_bounds_fails_a_term_longer_than_the_projective_dimension():
     diagram = BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
-    report = validate_bounds(Decomposition(((1, (0, 1, 2, 3)),)), diagram)
+    report = validate_bounds(((1, (0, 1, 2, 3)),), diagram)
     (term,) = report.per_term
     assert (term.length_ok, term.lower_ok, term.upper_ok) == (False, False, False)
     assert not report.recompose_matches and not report.passed
+
+
+def test_validate_bounds_holds_each_term_to_the_degree_window():
+    # minimal and maximal degrees are both (0, 2, 3); a term is compared with
+    # their first s + 1 entries, and a shorter term with a prefix of them
+    diagram = BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
+    verdicts = {(0, 1, 3): (True, False, True), (0, 2, 4): (True, True, False), (0, 2): (True, True, True)}
+    for degrees, verdict in verdicts.items():
+        (term,) = validate_bounds(((1, degrees),), diagram).per_term
+        assert (term.length_ok, term.lower_ok, term.upper_ok) == verdict, degrees
 
 
 def test_validate_bounds_weakly_increasing_max_degrees():
