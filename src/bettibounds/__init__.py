@@ -9,12 +9,7 @@ complexes on the LCM lattice.  All arithmetic is exact rational.
 __version__ = "0.1.0"
 
 from .asymptotic import power_bounds
-from .beh import (
-    beh_check,
-    pure_beh_check,
-    scan,
-    shape_hypothesis,
-)
+from .beh import beh_check, pure_beh_check, scan
 from .decompose import decompose, recompose, validate_bounds
 from .diagram import (
     BettiDiagram,
@@ -27,7 +22,6 @@ from .errors import (
     FormatError,
     GapColumnError,
     InvalidSequenceError,
-    NoFirstSyzygyError,
     NotInConeError,
     TooManyGeneratorsError,
 )
@@ -50,7 +44,6 @@ __all__ = [
     "GapColumnError",
     "InvalidSequenceError",
     "MonomialIdeal",
-    "NoFirstSyzygyError",
     "NotInConeError",
     "TooManyGeneratorsError",
     "beh_check",
@@ -68,7 +61,6 @@ __all__ = [
     "pure_total_partial",
     "recompose",
     "scan",
-    "shape_hypothesis",
     "taylor_betti",
     "validate_bounds",
     "verify_binomial_floor",

@@ -4,13 +4,12 @@ The conjectural floor for a codimension-c module is a column total of at
 least C(c, j) in every column j.  The sufficient condition checked here is a
 shape condition on the diagram: generators in degrees <= 0 and regularity at
 most 2*(minimal first-syzygy degree) - 2.  One predicate, `pure._shape_holds`,
-decides it on those three statistics, whether `shape_hypothesis` reads them
-from a diagram, `beh_check` reads them lowered by a positive top generator
-degree, `pure_shape_check` off a degree sequence, or `scan` off the degrees it
-walked.  `scan` hunts through pure diagrams for sequences that satisfy, or
-provably violate, the bound, deciding each one in integer arithmetic.  A
-reported row's totals come from the pairs it was decided on, its `shape` from
-its degrees, and its `beh_pass` is false by construction.  It walks the
+decides it on those three statistics, whether `beh_check` reads them off a
+diagram, lowered by a positive top generator degree, `pure_shape_check` off a
+degree sequence, or `scan` off the degrees it walked.  `scan` hunts through
+pure diagrams for sequences that satisfy, or provably violate, the bound,
+deciding each one in integer arithmetic.  A reported row's totals come from
+the pairs it was decided on and its `shape` from its degrees.  It walks the
 sequences by prefix and last degree: each prefix d_1 < ... < d_{s-1} builds
 its Herzog-Kuhl products once, and each last degree d_s it checks then costs
 O(s).  The pairs it compares equal those of `pure.hk_pair`, the one
@@ -33,20 +32,11 @@ from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import BettiDiagram
-from .errors import DomainError, NoFirstSyzygyError
+from .errors import DomainError
 from .pure import _shape_holds, herzog_kuhl
 
 SCAN_MODES = ("shape-verify", "find-violations", "integral-violations")
 _SCAN_D_MAX = 20
-
-
-def shape_hypothesis(diagram: BettiDiagram) -> bool:
-    """True when generators sit in degrees <= 0 and reg <= 2*min_deg_1 - 2."""
-    if not diagram:
-        raise DomainError("empty diagram")
-    if diagram.projective_dimension() < 1:
-        raise NoFirstSyzygyError("column 1 is empty; the hypothesis is vacuous")
-    return _shape_holds(diagram.max_degrees()[0], diagram.regularity(), diagram.min_degrees()[1])
 
 
 @dataclass(frozen=True)
@@ -123,9 +113,7 @@ def pure_beh_check(degrees: Sequence[int]) -> BehReport:
 @dataclass(frozen=True)
 class ScanRow:
     degrees: Tuple[int, ...]
-    s: int
     shape: bool
-    beh_pass: bool
     first_violating_j: int
     betti_totals: Tuple[Fraction, ...]
 
@@ -228,7 +216,7 @@ def _totals(pairs: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
 
 
 def _first_below(
-    pairs: Sequence[Tuple[int, int]], floor: Sequence[int], multiple: int = 1
+    pairs: Sequence[Tuple[int, int]], floor: Sequence[int], multiple: int
 ) -> Optional[int]:
     """First column j >= 1 with multiple * num_j / den_j < C(s, j), if any."""
     for j, (num, den) in enumerate(pairs, 1):
@@ -256,7 +244,8 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
     sequence whose last column's reduced denominator, a divisor of the
     multiple, already lifts every column to the floor; `_walk` proves that
     such a sequence has no row.  Every comparison is made on the integer
-    pairs, and a reported row is built from them and its degrees alone.
+    pairs, shape-verify's at the multiple 1, and every mode builds a reported
+    row by one rule from them and its degrees alone.
     `sequences_checked` is the size of the domain, sum over s of C(d_max, s),
     in every mode.  An s range reaching outside [1, 8] is refused, quoting at
     most its first nine values.
@@ -274,6 +263,7 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
         raise DomainError(f"unknown mode {mode!r}; choose from {SCAN_MODES}")
 
     s_values = tuple(range(s_min, s_max + 1))
+    scaled = mode != "shape-verify"
     integral = mode == "integral-violations"
     rows = []
     checked = 0
@@ -281,20 +271,15 @@ def scan(s_min: int, s_max: int, d_max: int, mode: str) -> ScanReport:
         checked += math.comb(d_max, s)
         floor = [math.comb(s, j) for j in range(s + 1)]
         for prefix, x, pairs in _walk(s, d_max, mode):
-            if mode == "shape-verify":
-                raw = _first_below(pairs, floor)
-                if raw is not None:
-                    rows.append(ScanRow((0, *prefix, x), s, True, False, raw, _totals(pairs)))
-                continue
+            # shape-verify checks the raw totals, the multiple 1
             multiple = 1
-            for num, den in pairs:
+            for num, den in pairs if scaled else ():
                 multiple = math.lcm(multiple, den // math.gcd(num, den))
                 if integral and multiple > 2:
                     break
             else:
-                scaled = _first_below(pairs, floor, multiple)
-                if scaled is not None:
+                first = _first_below(pairs, floor, multiple)
+                if first is not None:
                     shape = _shape_holds(0, x - s, prefix[0] if prefix else x)
-                    # beh_pass: the multiple is >= 1, so a scaled violation is a raw one too
-                    rows.append(ScanRow((0, *prefix, x), s, shape, False, scaled, _totals(pairs)))
+                    rows.append(ScanRow((0, *prefix, x), shape, first, _totals(pairs)))
     return ScanReport(mode, s_values, d_max, checked, tuple(rows))

@@ -129,8 +129,9 @@ def _scan_csv(report) -> str:
     lines = [CSV_HEADER]
     for row in report.rows:
         totals = _commas(map(format_rational, row.betti_totals))
-        flags = f"{_truth(row.shape)};{_truth(row.beh_pass)}"
-        lines.append(f"{_commas(row.degrees)};{row.s};{flags};{row.first_violating_j};{totals}")
+        # s, shape, and beh_pass: false, as a row's multiple >= 1 makes its violation a raw one
+        columns = f"{len(row.degrees) - 1};{_truth(row.shape)};false"
+        lines.append(f"{_commas(row.degrees)};{columns};{row.first_violating_j};{totals}")
     return "\n".join(lines)
 
 

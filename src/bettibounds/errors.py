@@ -32,10 +32,6 @@ class NotInConeError(BettiError):
     """Greedy elimination failed: the diagram is not a nonnegative combination it can reach."""
 
 
-class NoFirstSyzygyError(BettiError):
-    """Column 1 of the diagram is empty, so the syzygy-degree hypothesis is vacuous."""
-
-
 class TooManyGeneratorsError(BettiError):
     """Generator count exceeds the subset-enumeration guard."""
 

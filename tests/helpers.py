@@ -39,15 +39,20 @@ NOT_EXACT_VALUES = (0.1, True, float("nan"), float("inf"), None, "1", Decimal(1)
 NOT_EXACT_IDS = ("float", "bool", "nan", "inf", "none", "str", "decimal")
 
 
+class _TimeLimitExpired(BaseException):
+    """Raised by `time_limit`.  Not an `Exception`: `cli.main` would report a
+    `TimeoutError`, an `OSError`, as a failed write and return 2."""
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the main thread when the block outlasts `seconds` (POSIX).
+    """Raise `_TimeLimitExpired` in the main thread when the block outlasts `seconds` (POSIX).
 
     Turns a loop that never ends into a test failure instead of a hung run.
     """
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise _TimeLimitExpired(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

@@ -17,7 +17,6 @@ from itertools import product
 
 from bettibounds import (
     BettiDiagram,
-    NoFirstSyzygyError,
     beh_check,
     decompose,
     herzog_kuhl,
@@ -25,7 +24,6 @@ from bettibounds import (
     pure_shape_check,
     pure_total,
     recompose,
-    shape_hypothesis,
     taylor_betti,
     validate_bounds,
     MonomialIdeal,
@@ -158,14 +156,11 @@ def test_criterion_6():
 def test_criterion_7():
     exercised = 0
     for name, diagram in corpus_diagrams().items():
-        try:
-            hypothesis = shape_hypothesis(diagram)
-        except NoFirstSyzygyError:
-            continue
-        if not hypothesis:
+        report = beh_check(diagram)
+        if not report.hypothesis_met:
             continue
         exercised += 1
-        assert beh_check(diagram).overall, name
+        assert report.overall, name
         for _, degrees in decompose(diagram):
             translated = tuple(d - degrees[0] for d in degrees)
             assert pure_shape_check(translated), (name, degrees)

@@ -8,10 +8,10 @@ import pytest
 from bettibounds import (
     BettiDiagram,
     DomainError,
+    beh_check,
     minimalize,
     power_bounds,
     pure_total,
-    shape_hypothesis,
 )
 from helpers import upper_koszul_betti
 
@@ -170,7 +170,7 @@ def test_exact_bound_holds_on_powers_of_the_maximal_ideal():
     for t, beta_1 in ((1, 3), (2, 6)):
         ideal = minimalize(3, [combo for combo in product(range(t + 1), repeat=3) if sum(combo) == t])
         diagram = BettiDiagram(upper_koszul_betti(ideal))
-        assert shape_hypothesis(diagram)
+        assert beh_check(diagram).hypothesis_met
         checks = list(genuine_bound_checks(1, t, diagram))
         assert checks[0] == (beta_1, beta_1)
         assert all(total >= bound for total, bound in checks)
@@ -180,7 +180,7 @@ def test_exact_bound_holds_on_genuine_powers():
     diagrams = checked = 0
     for delta, t, diagram in power_diagrams():
         diagrams += 1
-        if not shape_hypothesis(diagram):
+        if not beh_check(diagram).hypothesis_met:
             continue
         for total, bound in genuine_bound_checks(delta, t, diagram):
             checked += 1

@@ -6,14 +6,12 @@ import pytest
 from bettibounds import (
     BettiDiagram,
     DomainError,
-    NoFirstSyzygyError,
     beh_check,
     decompose,
     herzog_kuhl,
     pure_beh_check,
     pure_shape_check,
     scan,
-    shape_hypothesis,
 )
 from bettibounds import beh
 from bettibounds.cli import CSV_HEADER, _beh_json, _scan_csv
@@ -21,23 +19,16 @@ from bettibounds.cli import CSV_HEADER, _beh_json, _scan_csv
 from helpers import corpus_diagrams, koszul
 
 
-def test_shape_hypothesis_examples():
-    assert shape_hypothesis(koszul(3))
-    assert shape_hypothesis(BettiDiagram({(0, 0): 1, (1, 2): 3, (2, 3): 2}))
-    assert not shape_hypothesis(BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1}))
+def test_hypothesis_met_examples():
+    assert beh_check(koszul(3)).hypothesis_met
+    assert beh_check(BettiDiagram({(0, 0): 1, (1, 2): 3, (2, 3): 2})).hypothesis_met
+    assert not beh_check(BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1})).hypothesis_met
 
 
-def test_shape_hypothesis_errors():
-    with pytest.raises(DomainError):
-        shape_hypothesis(BettiDiagram())
-    with pytest.raises(NoFirstSyzygyError):
-        shape_hypothesis(BettiDiagram({(0, 0): 3, (0, -1): 1}))
-
-
-def test_shape_hypothesis_agrees_with_pure_shape_check():
+def test_hypothesis_met_agrees_with_pure_shape_check():
     degrees_list = [(0, 1, 3), (0, 2, 3, 4), (0, 1, 2, 4), (-1, 1, 2), (0, 2, 4, 5, 6)]
     for degrees in degrees_list:
-        assert shape_hypothesis(herzog_kuhl(degrees)) == pure_shape_check(degrees)
+        assert beh_check(herzog_kuhl(degrees)).hypothesis_met == pure_shape_check(degrees)
 
 
 def test_beh_check_generic_2x3():
@@ -163,13 +154,12 @@ def test_scan_find_violations_lists_known_violator():
     by_degrees = {row.degrees: row for row in report.rows}
     row = by_degrees[(0, 1, 2, 3, 5, 6)]
     assert row.betti_totals == (1, Fraction(9, 2), Fraction(15, 2), 5, Fraction(3, 2), Fraction(1, 2))
-    assert not row.beh_pass
     # the doubled diagram (2, 9, 15, 10, 3, 1) first drops below C(5, j) at j = 4
     assert row.first_violating_j == 4
     assert not row.shape
 
 
-@pytest.mark.parametrize("mode", ["find-violations", "integral-violations"])
+@pytest.mark.parametrize("mode", beh.SCAN_MODES)
 def test_scan_rows_read_shape_off_the_walked_degrees(monkeypatch, mode):
     # no pure diagram meeting the shape condition violates the floor, so a
     # fabricated walk is the only way to see a reported row with a true shape
@@ -177,13 +167,15 @@ def test_scan_rows_read_shape_off_the_walked_degrees(monkeypatch, mode):
         assert (s, walked_mode) == (2, mode)
         yield (1,), 2, [(1, 1), (1, 1)]  # d_2 - 2 = 0 <= 2*d_1 - 2
         yield (2,), 5, [(1, 1), (1, 1)]  # d_2 - 2 = 3 > 2*d_1 - 2 = 2
+        # raw total_1 = 3/2 < 2, but the doubled diagram (2, 3, 2) meets the floor
+        yield (2,), 4, [(3, 2), (1, 1)]
 
     monkeypatch.setattr(beh, "_walk", walk)
     rows = scan(2, 2, 5, mode).rows
-    assert [(row.degrees, row.shape, row.beh_pass, row.first_violating_j) for row in rows] == [
-        ((0, 1, 2), True, False, 1),
-        ((0, 2, 5), False, False, 1),
-    ]
+    expected = [((0, 1, 2), True, 1), ((0, 2, 5), False, 1)]
+    if mode == "shape-verify":
+        expected.append(((0, 2, 4), True, 1))
+    assert [(row.degrees, row.shape, row.first_violating_j) for row in rows] == expected
     assert [row.shape for row in rows] == [pure_shape_check(row.degrees) for row in rows]
 
 
@@ -217,14 +209,10 @@ def test_shape_implies_bound_on_corpus():
     diagrams = corpus_diagrams()
     exercised = 0
     for name, diagram in diagrams.items():
-        try:
-            hypothesis = shape_hypothesis(diagram)
-        except NoFirstSyzygyError:
-            continue
-        if not hypothesis:
+        report = beh_check(diagram)
+        if not report.hypothesis_met:
             continue
         exercised += 1
-        report = beh_check(diagram)
         assert report.overall, name
         for _, degrees in decompose(diagram):
             assert pure_shape_check(degrees), (name, degrees)
@@ -236,10 +224,7 @@ def test_shape_implies_bound_on_corpus():
 def test_bound_additivity_mechanism():
     # each pure term at or above the binomial floor forces the weighted sum bound
     for name, diagram in corpus_diagrams().items():
-        try:
-            if not shape_hypothesis(diagram):
-                continue
-        except NoFirstSyzygyError:
+        if not beh_check(diagram).hypothesis_met:
             continue
         codim = diagram.codimension()
         decomposition = decompose(diagram)

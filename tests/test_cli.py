@@ -13,7 +13,7 @@ import pytest
 from bettibounds import BettiDiagram, MonomialIdeal, herzog_kuhl, pure
 from bettibounds.cli import main
 
-from helpers import koszul, time_limit
+from helpers import _TimeLimitExpired, koszul, time_limit
 
 
 def run(capsys, *argv):
@@ -403,6 +403,14 @@ def test_pure_table_beyond_the_column_limit_is_refused_before_the_diagram_is_bui
         "error: domain: the table would have 10002 columns, more than 10000; "
         "the json format has no such limit\n"
     )
+
+
+def test_a_time_limit_expiring_inside_main_is_not_a_failed_write():
+    # power-of-maximal(4,3) takes about a second; main must let the alarm
+    # through, not report it as `error: output:` with exit 2
+    with pytest.raises(_TimeLimitExpired, match="still running after 0.2 s"):
+        with time_limit(0.2):
+            main(["monomial-betti", "--family", "power-of-maximal(4,3)"])
 
 
 def test_pure_json_has_no_row_limit(capsys):

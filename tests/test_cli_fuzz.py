@@ -22,15 +22,15 @@ from bettibounds.cli import main
 
 from helpers import pure_sum
 
-# the kinds the README lists for the `error: <kind>: <detail>` line, but `output`:
-# these runs print to memory, which cannot fail as a closed pipe or a full device can
+# the seven kinds the README lists for the `error: <kind>: <detail>` line, one per
+# `BettiError` subclass; not `output`: these runs print to memory, which cannot
+# fail as a closed pipe or a full device can
 KINDS = {
     "format",
     "domain",
     "gap-column",
     "invalid-sequence",
     "not-in-cone",
-    "no-first-syzygy",
     "too-many-generators",
     "usage",
 }

@@ -58,6 +58,8 @@ FILES = {
     '{"i":2,"j":5,"value":"9"},{"i":3,"j":5,"value":"50"},{"i":3,"j":6,"value":"12"}]}',
     "ideal": '{"nvars": 3, "generators": [[2,0,0],[1,1,0],[0,1,1],[0,0,3]]}',
     # column 1 is empty below the projective dimension 2
+    # a free module: column 1 is empty, so check-beh notes the shape hypothesis vacuous
+    "free": '{"entries": [{"i":0,"j":0,"value":"2"}]}',
     "gap": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":2,"j":3,"value":"1"}]}',
     "negative": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":1,"j":2,"value":"-1"}]}',
     # 30 terms with s = 8, each sequence one degree above the last
@@ -88,6 +90,8 @@ COMMANDS = [
     "check-beh {quotient}",
     "check-beh {chain} --format json",
     "check-beh {shifted}",
+    "check-beh {free}",
+    "check-beh {free} --format json",
     "scan --s-max 4 --d-max 9 --mode shape-verify",
     "scan --s-max 4 --d-max 9 --mode find-violations",
     "scan --s-max 4 --d-max 9 --mode integral-violations",

@@ -13,6 +13,7 @@ STATED = {
     "herzog_kuhl((0, 1, 2, 4)).totals()": ((1, Fraction(8, 3), 2, Fraction(1, 3)), "1, 8/3, 2, 1/3"),
     "recompose(dec) == D": (True, "round trip"),
     "validate_bounds(dec, D).passed": (True, "support bounds"),
+    "beh_check(D).hypothesis_met": (True, "reg <= 2*(least first-syzygy degree) - 2"),
     "beh_check(D).overall": (True, "C(codim, j)"),
     "pure_total(2, (1, 0, 1))": (Fraction(5), "Fraction(5)"),
     "pure_total_partial(2, 1, (0, 0))": (Fraction(1), "Fraction(1)"),
@@ -25,7 +26,12 @@ def test_the_library_example_states_its_values():
     lines = block.splitlines()
     namespace = {}
     seen = {}
-    for node in ast.parse(block).body:
+    tree = ast.parse(block)
+    # the example imports only the names it uses
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    imported = {alias.asname or alias.name for node in imports for alias in node.names}
+    assert imported <= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
         if isinstance(node, ast.Expr):
             # an import of a name the package no longer has fails in the exec branch
             value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)

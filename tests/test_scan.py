@@ -118,7 +118,7 @@ def _first_below(values, s):
 
 
 def _brute_rows(mode, s, d_max):
-    """(degrees, s, shape, beh_pass, first_violating_j, totals) of each finding."""
+    """(degrees, shape, first_violating_j, totals) of each finding."""
     rows = []
     for degrees in _domain(s, d_max):
         totals = _solved(degrees)
@@ -126,21 +126,20 @@ def _brute_rows(mode, s, d_max):
         raw = _first_below(totals, s)
         if mode == "shape-verify":
             if shape and raw is not None:
-                rows.append((degrees, s, True, False, raw, totals))
+                rows.append((degrees, True, raw, totals))
             continue
         multiple = math.lcm(*(t.denominator for t in totals))
         scaled = _first_below([multiple * t for t in totals], s)
         if scaled is None or (mode == "integral-violations" and multiple > 2):
             continue
-        rows.append((degrees, s, shape, raw is None, scaled, totals))
+        # the CSV's beh_pass column is false by construction: a finding fails raw too
+        assert raw is not None, degrees
+        rows.append((degrees, shape, scaled, totals))
     return rows
 
 
 def _rows(report):
-    return [
-        (r.degrees, r.s, r.shape, r.beh_pass, r.first_violating_j, r.betti_totals)
-        for r in report.rows
-    ]
+    return [(r.degrees, r.shape, r.first_violating_j, r.betti_totals) for r in report.rows]
 
 
 def _check_against_brute_force(mode, s_values, d_max):
