@@ -1,24 +1,34 @@
 """Exact Betti diagrams of monomial quotients, one multidegree strand at a time.
 
-The lcm of every subset of the minimal generators is enumerated, and the
-subsets are grouped by it: the subsets with lcm m index the m-strand of the
-Taylor complex tensored with the field, whose homology at position i is the
-Betti number beta_{i,m}.  Only such m (the LCM lattice) carry Betti numbers.
-Each strand is settled from the facets Phi_g = {k : g_k < m_k} of the upper
-Koszul complex K^m = {F subset of supp m : x^(m - F) in I}, one for each
-generator g dividing m; beta_{i,m} = dim reduced H_{i-2}(K^m)
-(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34):
+The generators are first split into components that share no variable: the
+resolution of S/(J + K), with J and K in disjoint variables, is the tensor
+product of theirs, so the graded Betti polynomials sum beta_{i,j} u^i t^j of
+the components multiply, and a component of one generator g gives
+1 + u t^(deg g).  Variables that no generator uses are in no component.
 
-* a strand of one cell has no boundary and gives beta = 1 at its size;
+In each other component only the elements m of the LCM lattice carry Betti
+numbers.  The lattice is grown by join closure, r joins per element for r
+generators: each m keeps the number of generator subsets with lcm m (the
+cells of the m-strand of the Taylor complex tensored with the field, whose
+homology at position i is beta_{i,m}) and their union, which is D(m), the
+generators dividing m.  Each strand is settled from the facets
+Phi_g = {k : g_k < m_k}, g in D(m), of the upper Koszul complex
+K^m = {F subset of supp m : x^(m - F) in I}; beta_{i,m} = dim reduced
+H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34):
+
+* a strand of one cell, D(m) itself, has no boundary and gives beta = 1 at
+  its size;
 * a strand is skipped when some Phi_g is all of supp m: K^m is then the full
-  simplex on supp m and has no reduced homology.  At m = 0 this holds only
-  for the unit ideal, generated by 0, whose Taylor strand {0, {g}} is acyclic;
+  simplex on supp m and has no reduced homology;
 * K^m is used when a bound on its faces, the smaller of 2^|supp m| and the
   sum of 2^|Phi_g|, is below the strand's cell count;
-* otherwise the Taylor strand itself, which the generator guard bounds.
+* otherwise the Taylor strand itself: the subsets of D(m) that meet, for each
+  k in supp m, the generators g with g_k = m_k.  A generator that is alone
+  there for some k is in every cell, and only the others are enumerated.
 
 Both complexes have bitmask cells and share one homology routine; its ranks
 come from fraction-free integer elimination.  Characteristic zero throughout.
+The unit ideal, generated by 0, gives S/S = 0 and the empty diagram.
 """
 
 from __future__ import annotations
@@ -178,50 +188,107 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-def _settle(multidegree, masks, gens):
-    """(homology {level: count}, shift) of the m-strand on `masks`, or None if it is acyclic."""
-    if len(masks) == 1:
-        return {masks[0].bit_count(): 1}, 0  # a lone cell has no boundary
+def _settle(multidegree, count, union, gens):
+    """(homology {level: count}, shift) of the m-strand, or None if it is acyclic.
+
+    The strand's cells are the `count` subsets of gens with lcm m, and
+    `union`, the bitmask of their union, is D(m): every generator dividing m.
+    """
+    if count == 1:
+        return {union.bit_count(): 1}, 0  # a lone cell, D(m) itself, has no boundary
     support = sum(1 << k for k, b in enumerate(multidegree) if b)
-    # the masks are increasing, so the last is the union of the strand: every
-    # generator g dividing m, each with its facet Phi_g = {k : g_k < m_k} of K^m
+    # each generator g dividing m has its facet Phi_g = {k : g_k < m_k} of K^m
     facets = []
     for bit, g in enumerate(gens):
-        if masks[-1] >> bit & 1:
+        if union >> bit & 1:
             facet = sum(1 << k for k, (a, b) in enumerate(zip(g, multidegree)) if a < b)
             if facet == support:
                 return None  # a strict divisor: K^m is the full simplex on supp m
             facets.append(facet)
     faces = min(1 << support.bit_count(), sum(1 << facet.bit_count() for facet in facets))
-    if faces < len(masks):
+    if faces < count:
         # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
         return _homology(_upper_koszul_faces(facets)), 1
-    return _homology(masks), 0
+    return _homology(_taylor_cells(support, union, facets)), 0
+
+
+def _taylor_cells(support, union, facets) -> list[int]:
+    """The cells of the Taylor strand at m: the subsets of D(m) with lcm m.
+
+    A subset has lcm m when the sets E_g = supp m - Phi_g = {k : g_k = m_k} of
+    its members cover supp m.  A generator whose E_g holds some k that no other
+    E_g holds is in every cell, so only the others are enumerated.
+    """
+    reached = [support & ~facet for facet in facets]
+    once = twice = 0
+    for e in reached:
+        twice |= once & e
+        once |= e
+    alone = once & ~twice
+    cells = [(0, 0)]  # (cell, the union of its E_g)
+    rest = union
+    for e in reached:
+        low = rest & -rest
+        rest ^= low
+        grown = [(cell | low, cover | e) for cell, cover in cells]
+        cells = grown if e & alone else cells + grown
+    return [cell for cell, cover in cells if cover == support]
+
+
+def _component_betti(gens) -> dict[tuple[int, int], int]:
+    """{(level, degree): count} of the quotient by the generators of one component.
+
+    The LCM lattice is grown by join closure: each element m keeps the number
+    of generator subsets with lcm m and the union of those subsets, and adding
+    generator b adds every subset so far, with b, at lcm(m, g_b).
+    """
+    if len(gens) == 1:
+        return {(0, 0): 1, (1, sum(gens[0])): 1}
+    lattice = {(0,) * len(gens[0]): (1, 0)}
+    for bit, g in enumerate(gens):
+        for m, (count, union) in list(lattice.items()):
+            join = tuple(map(max, m, g))
+            old_count, old_union = lattice.get(join, (0, 0))
+            lattice[join] = (old_count + count, old_union | union | 1 << bit)
+    betti: dict[tuple[int, int], int] = {}
+    for multidegree, (count, union) in lattice.items():
+        if (settled := _settle(multidegree, count, union, gens)) is None:
+            continue
+        homology, shift = settled
+        degree = sum(multidegree)
+        for level, dim in homology.items():
+            if dim:
+                key = (level + shift, degree)
+                betti[key] = betti.get(key, 0) + dim
+    return betti
 
 
 def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     """Betti diagram of the quotient by a monomial ideal (characteristic zero)."""
     _check_generator_count(len(ideal.generators))
-    # a variable that no generator uses is 0 in every lcm and changes no strand
-    used = [k for k in range(ideal.nvars) if any(g[k] for g in ideal.generators)]
-    gens = [tuple(g[k] for k in used) for g in ideal.generators]
-    lcm_of = [(0,) * len(used)]  # the lcm of the subset with bitmask i at index i
-    for g in gens:
-        lcm_of += [tuple(map(max, m, g)) for m in lcm_of]
-    strands: dict[tuple, list[int]] = {}
-    for mask, multidegree in enumerate(lcm_of):
-        strands.setdefault(multidegree, []).append(mask)
-
-    betti: dict[tuple[int, int], int] = {}
-    for multidegree, masks in strands.items():
-        if (settled := _settle(multidegree, masks, gens)) is None:
-            continue
-        homology, shift = settled
-        degree = sum(multidegree)
-        for level, count in homology.items():
-            if count:
-                key = (level + shift, degree)
-                betti[key] = betti.get(key, 0) + count
+    if not all(any(g) for g in ideal.generators):
+        return BettiDiagram()  # the unit ideal: S/S = 0
+    # generators that share a variable fall in one component; a variable that
+    # no generator uses is in none
+    components: list[tuple[int, list]] = []  # (variables bitmask, generators)
+    for g in ideal.generators:
+        variables, members = sum(1 << k for k, e in enumerate(g) if e), [g]
+        for component in [c for c in components if c[0] & variables]:
+            components.remove(component)
+            variables |= component[0]
+            members += component[1]
+        components.append((variables, members))
+    # the resolution of S/(J + K), J and K in disjoint variables, is the tensor
+    # product of theirs: the Betti polynomials sum beta_{i,j} u^i t^j multiply
+    betti = {(0, 0): 1}
+    for variables, members in components:
+        used = [k for k in range(variables.bit_length()) if variables >> k & 1]
+        factor = _component_betti([tuple(g[k] for k in used) for g in members])
+        product: dict[tuple[int, int], int] = {}
+        for (i, j), a in betti.items():
+            for (k, d), b in factor.items():
+                product[i + k, j + d] = product.get((i + k, j + d), 0) + a * b
+        betti = product
     return BettiDiagram(betti)
 
 

@@ -406,11 +406,11 @@ def test_pure_table_beyond_the_column_limit_is_refused_before_the_diagram_is_bui
 
 
 def test_a_time_limit_expiring_inside_main_is_not_a_failed_write():
-    # power-of-maximal(4,3) takes about a second; main must let the alarm
+    # verify-lemmas at 10^5 samples takes seconds; main must let the alarm
     # through, not report it as `error: output:` with exit 2
     with pytest.raises(_TimeLimitExpired, match="still running after 0.2 s"):
         with time_limit(0.2):
-            main(["monomial-betti", "--family", "power-of-maximal(4,3)"])
+            main(["verify-lemmas", "--samples", "100000", "--seed", "1", "--s-max", "8"])
 
 
 def test_pure_json_has_no_row_limit(capsys):

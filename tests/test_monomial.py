@@ -260,18 +260,83 @@ def test_koszul_cube_below_the_facet_sum_still_picks_k_m(monkeypatch):
 
 
 def test_variables_no_generator_uses_are_dropped(monkeypatch):
-    # x0..x11 in 1000 variables: an lcm of 1000 coordinates per subset is waste
+    # x_3i*x_3i+1 and x_3i+1*x_3i+2 for i < 4, in 1000 variables: each strand is
+    # settled on its own component's two generators and three variables, not
+    # on lcms of 1000 coordinates
     original = monomial._settle
-    widths = set()
+    shapes = set()
 
-    def recorded(multidegree, masks, gens):
-        widths.add(len(multidegree))
-        return original(multidegree, masks, gens)
+    def recorded(multidegree, count, union, gens):
+        shapes.add((len(multidegree), len(gens)))
+        return original(multidegree, count, union, gens)
 
     monkeypatch.setattr(monomial, "_settle", recorded)
-    ideal = minimalize(1000, [[int(v == i) for v in range(1000)] for i in range(12)])
-    assert taylor_betti(ideal) == koszul(12)
-    assert widths == {12}
+    n = 1000
+    gens = [[int(v in (3 * i + s, 3 * i + s + 1)) for v in range(n)] for i in range(4) for s in (0, 1)]
+    ideal = minimalize(n, gens)
+    assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal)
+    assert shapes == {(3, 2)}
+
+
+def _disjoint_union(rng, parts):
+    """Seeded ideals on disjoint blocks of variables, an unused variable after each block.
+
+    The generators are shuffled, so a component's generators need not be adjacent.
+    """
+    blocks = [random_monomial_ideal(rng, max_vars=3, max_gens=4) for _ in range(parts)]
+    nvars = sum(block.nvars + 1 for block in blocks)
+    gens, offset = [], 0
+    for block in blocks:
+        for g in block.generators:
+            gens.append([0] * offset + list(g) + [0] * (nvars - offset - block.nvars))
+        offset += block.nvars + 1
+    rng.shuffle(gens)
+    return MonomialIdeal(nvars, tuple(map(tuple, gens)))
+
+
+def test_ideals_of_several_components_match_the_taylor_oracle():
+    # the engine multiplies the components' Betti polynomials; the oracle
+    # walks every subset of the whole ideal
+    rng = random.Random(2024)
+    for parts in (2, 2, 2, 3, 3) * 8:
+        ideal = _disjoint_union(rng, parts)
+        assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal), ideal
+
+
+def test_complete_intersection_of_twenty_disjoint_supports_finishes():
+    # x_5i...x_5i+4 for i < 20 in 100 variables: 20 one-generator components,
+    # where a walk over the 2^20 subset lcms of 100 coordinates takes 25 s and 1 GB
+    gens = [[int(5 * i <= v < 5 * i + 5) for v in range(100)] for i in range(20)]
+    with time_limit(2):
+        diagram = taylor_betti(minimalize(100, gens))
+    assert diagram == BettiDiagram({(i, 5 * i): math.comb(20, i) for i in range(21)})
+
+
+def _wide_strand_ideal(n):
+    """g_i = x_i*y for i < n, with y = x_n, and c = x_0*x_1."""
+    gens = [[int(v in (i, n)) for v in range(n + 1)] for i in range(n)]
+    return minimalize(n + 1, gens + [[int(v in (0, 1)) for v in range(n + 1)]])
+
+
+def test_wide_strand_ideal_matches_both_oracles():
+    # at m = x_S*y with 0, 1 in S, D(m) has |S| + 1 generators but every g_i,
+    # i > 1, is alone in reaching m at x_i: the strand has at most 5 cells, not a
+    # subset walk over 2^(|S| + 1); x_0 is reached by g_0 and c, x_1 by g_1 and c
+    ideal = _wide_strand_ideal(7)
+    assert dict(taylor_betti(ideal).items()) == upper_koszul_betti(ideal)
+    ideal = _wide_strand_ideal(12)
+    with time_limit(2):
+        diagram = taylor_betti(ideal)
+    assert dict(diagram.items()) == taylor_oracle_betti(ideal)
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (2, 19)])
+def test_twenty_generator_families_walk_their_lattice_not_their_subsets(n, d):
+    # the lattices have 242 and 211 elements; the 2^20 subset lcms take over a second
+    ideal = corpus(f"power-of-maximal({n},{d})")
+    with time_limit(0.5):
+        diagram = taylor_betti(ideal)
+    assert diagram == _eagon_northcott(n, d)
 
 
 def test_taylor_betti_matches_upper_koszul_oracle():
@@ -379,13 +444,17 @@ def test_complete_graph_edge_ideals_linear_resolution():
         assert diagram == BettiDiagram(expected), n
 
 
-def test_power_of_maximal_3_4_matches_eagon_northcott():
-    # beta_i = C(n+d-1, d+i-1) * C(d+i-2, i-1) in degree d+i-1; 15 generators
-    n, d = 3, 4
+def _eagon_northcott(n, d):
+    """S/m^d in n variables: beta_i = C(n+d-1, d+i-1) * C(d+i-2, i-1) in degree d+i-1."""
     expected = {(0, 0): 1}
     for i in range(1, n + 1):
         expected[i, d + i - 1] = math.comb(n + d - 1, d + i - 1) * math.comb(d + i - 2, i - 1)
-    assert taylor_betti(corpus(f"power-of-maximal({n},{d})")) == BettiDiagram(expected)
+    return BettiDiagram(expected)
+
+
+def test_power_of_maximal_3_4_matches_eagon_northcott():
+    # 15 generators
+    assert taylor_betti(corpus("power-of-maximal(3,4)")) == _eagon_northcott(3, 4)
 
 
 def test_square_free_example_6_linear_resolution():
