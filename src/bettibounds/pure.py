@@ -20,11 +20,12 @@ nonnegative orthant, which makes sign questions about its partial
 derivatives exact finite computations.  The verify_* functions sample seeded
 rational points and check those signs, plus the binomial floor
 total_j >= C(s, j) on the region where the first gap dominates the rest;
-the two gradient lemmas share their points and one log gradient per column.
+the two gradient lemmas share their points and one log gradient per point,
+which reads every column off one table of the pairwise factors P_b - P_a.
 Every sampled denominator divides 64, except that of the floor's boundary
 point e = (x, 0, ..., 0, x*c/64), which divides 64^2.  So each point is
 cleared to integer positions and every sign is decided on integers: the log
-gradient as integer numerators over one positive common denominator, the
+gradients as integer numerators over one positive common denominator, the
 floor and its closed forms by cross-multiplying integer pairs.  Fractions are
 built only for the rows a sweep reports.
 """
@@ -44,7 +45,8 @@ from .errors import DomainError
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
 _SAMPLE_SCALE = 64  # every sampled denominator divides it
 # the cost of one sample grows steeply with s: all three sweeps over 10^4
-# samples took 7.1 s at s_max 32 and 0.83 s at s_max 8 (Python 3.11, 2 vCPU)
+# samples took 3.9 s at s_max 32 and 0.49 s at s_max 8 (median of in-process
+# runs, Python 3.11.7, 2 vCPU)
 MAX_SWEEP_S = 32
 
 
@@ -133,44 +135,48 @@ def pure_total(j: int, e: Sequence) -> Fraction:
     return Fraction(*hk_pair(_positions(e)[0], j))
 
 
-def _log_gradient(p: Sequence[int], j: int) -> Tuple[List[int], int]:
-    """Logarithmic gradient of the column-j total at integer positions p.
+def _log_gradient(p: Sequence[int]) -> Tuple[List[List[int]], int]:
+    """Logarithmic gradients of every column total at integer positions p.
 
-    A factor P_b - P_a of the kernel product equals D*(b - a + e_{a+1} + ... + e_b),
-    so the k-th partial of log(total) is D times the sum of 1/(P_b - P_a) over
-    the factors with a < k <= b, counted + in the numerator and - in the
-    denominator.  Returned as integer numerators (G_1, ..., G_s) over one
-    positive common denominator L, the lcm of those factors:
-    d log(total)/de_k = D*G_k/L, so G_k carries the sign of the partial.
-    No factor vanishes: they are those of `hk_pair`, at positions it accepts.
+    A factor P_b - P_a (a < b) of the kernel product equals
+    D*(b - a + e_{a+1} + ... + e_b), so the k-th partial of log(total_j) is D
+    times the sum of 1/(P_b - P_a) over column j's factors with a < k <= b,
+    counted + in the numerator and - in the denominator.  With L the lcm of the
+    nonzero differences P_b - P_a and q[a][b] = L/(P_b - P_a), taken once for
+    all columns, that sum is L times
+
+        sum_{i >= k} q[0][i] - sum_{m < k} q[m][j]   for k <= j,
+        sum_{i >= k} q[0][i] - sum_{i >= k} q[j][i]  for k > j,
+
+    where the first line's m = 0 term removes the numerator factor P_j - P_0
+    that column j leaves out.  Returned as (grads, L): grads[j-1] holds the
+    integer numerators (G_1, ..., G_s) of column j over the one positive common
+    denominator L, d log(total_j)/de_k = D*G_k/L, so G_k carries the sign of the
+    partial.  A vanishing difference, possible only off the orthant, gets q = 0
+    and stays out of L; a column that uses one is refused by `hk_pair`.
     """
     s = len(p) - 1
-    p0, pj = p[0], p[j]
-    below, above = p[1:j], p[j + 1 :]
-    common = math.lcm(
-        *(pi - p0 for pi in below),
-        *(pi - p0 for pi in above),
-        *(pj - pi for pi in below),
-        *(pi - pj for pi in above),
-    )
-    grad = [0] * s
-    # numerator factors containing e_k: P_i - P_0 with k <= i, i != j
-    acc = 0
+    diffs = [[pb - pa for pb in p[a + 1 :]] for a, pa in enumerate(p)]
+    common = math.lcm(*(d for row in diffs for d in row if d))
+    # q[a][b] for a < b; zero on and below the diagonal
+    q = [[0] * (a + 1) + [common // d if d else 0 for d in row] for a, row in enumerate(diffs)]
+    suffix = [0] * (s + 2)  # suffix[k] = sum_{i >= k} q[0][i]
     for i in range(s, 0, -1):
-        if i != j:
-            acc += common // (p[i] - p0)
-        grad[i - 1] = acc
-    # denominator factors containing e_k: P_j - P_m with m < k <= j ...
-    acc = 0
-    for m in range(1, j):
-        acc += common // (pj - p[m])
-        grad[m] -= acc
-    # ... and P_i - P_j with j < k <= i
-    acc = 0
-    for i in range(s, j, -1):
-        acc += common // (p[i] - pj)
-        grad[i - 1] -= acc
-    return grad, common
+        suffix[i] = suffix[i + 1] + q[0][i]
+    grads = []
+    for j in range(1, s + 1):
+        grad = []
+        acc = 0
+        for k in range(1, j + 1):
+            acc += q[k - 1][j]
+            grad.append(suffix[k] - acc)
+        row, acc, above = q[j], 0, []
+        for k in range(s, j, -1):
+            acc += row[k]
+            above.append(suffix[k] - acc)
+        above.reverse()
+        grads.append(grad + above)
+    return grads, common
 
 
 def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
@@ -180,8 +186,8 @@ def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
     _check_column(k, len(e))
     p, scale = _positions(e)
     num, den = hk_pair(p, j)
-    grad, common = _log_gradient(p, j)
-    return Fraction(num * scale * grad[k - 1], den * common)
+    grads, common = _log_gradient(p)
+    return Fraction(num * scale * grads[j - 1][k - 1], den * common)
 
 
 # -- seeded verification sweeps ---------------------------------------------------
@@ -246,15 +252,20 @@ def _check_sweep(s_max: int, samples: int):
 
 @functools.lru_cache(maxsize=1, typed=True)  # verify-lemmas asks it twice with one key
 def _gradient_sweep(s_max: int, samples: int, seed: int) -> Tuple[Tuple[Violation, ...], ...]:
-    """Rows of both gradient lemmas, from one log-gradient per sampled column."""
+    """Rows of both gradient lemmas, from one log-gradient per sampled point.
+
+    The point's common denominator spans every column's factors, so a row's
+    value total_j * 64*g/common is the rational it would be over the lcm of
+    column j's factors alone: g and common are scaled by the same integer.
+    """
     rng = random.Random(seed)
     first_gap, inward = [], []
     for _ in range(samples):
         s = rng.randint(1, s_max)
         x = _sample_gap_vector(rng, s)
         p = _gap_positions(x, _SAMPLE_SCALE)
-        for j in range(1, s + 1):
-            grad, common = _log_gradient(p, j)
+        grads, common = _log_gradient(p)
+        for j, grad in enumerate(grads, 1):
             if grad[0] < 0:
                 first_gap.append(_gradient_violation(x, p, j, 1, grad[0], common))
             for k in range(1, j):

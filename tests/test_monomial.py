@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -328,6 +329,30 @@ def test_wide_strand_ideal_matches_both_oracles():
     with time_limit(2):
         diagram = taylor_betti(ideal)
     assert dict(diagram.items()) == taylor_oracle_betti(ideal)
+
+
+def test_generators_alone_in_reaching_m_are_in_every_taylor_cell():
+    # at the top strand m = x_0...x_11*y of the n = 12 wide-strand ideal,
+    # g_2..g_11 are each alone in reaching m at their x_i, so only g_0, g_1 and
+    # c are enumerated: at most 2^3 partial cells are held, not 2^13.  The
+    # traced allocation peak tells the two apart, where wall time would not.
+    gens = _wide_strand_ideal(12).generators
+    m = tuple(map(max, *gens))
+    support, union = (1 << len(m)) - 1, (1 << len(gens)) - 1
+    facets = [sum(1 << k for k, (a, b) in enumerate(zip(g, m)) if a < b) for g in gens]
+    tracemalloc.start()
+    try:
+        cells = monomial._taylor_cells(support, union, facets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reached = [support & ~facet for facet in facets]
+    covers = [0]  # the union of E_g over each subset, indexed by its bitmask
+    for e in reached:
+        covers += [cover | e for cover in covers]
+    assert sorted(cells) == [cell for cell, cover in enumerate(covers) if cover == support]
+    assert len(cells) == 5
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("n, d", [(4, 3), (2, 19)])

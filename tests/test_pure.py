@@ -266,9 +266,9 @@ def test_integer_signs_match_the_product_rule_oracle():
         scaled = _grid_point(rng, s, 10)
         p = _positions_over_64(scaled)
         e = tuple(Fraction(x, 64) for x in scaled)
-        for j in range(1, s + 1):
-            grad, common = _log_gradient(p, j)
-            assert common > 0
+        grads, common = _log_gradient(p)
+        assert common > 0
+        for j, grad in enumerate(grads, 1):
             partials = [column_total_partial(j, k, e) for k in range(1, s + 1)]
             assert _sign(grad[0]) == _sign(partials[0])
             for k in range(1, j):
@@ -284,6 +284,41 @@ def test_integer_signs_match_the_product_rule_oracle():
             num, den = hk_pair(p, j)
             floor = math.comb(s, j)
             assert _sign(num - floor * den) == _sign(totals[j] - floor)
+
+
+def _assert_gradients_are_the_exact_partials(p, scale, e, columns):
+    """total_j * D*G_k/L equals the product-rule partial for every k of each column given."""
+    grads, common = _log_gradient(p)
+    assert common > 0 and len(grads) == len(e)
+    for j in columns:
+        num, den = hk_pair(p, j)
+        for k, g in enumerate(grads[j - 1], 1):
+            assert Fraction(num * scale * g, den * common) == column_total_partial(j, k, e)
+
+
+def test_every_column_gradient_is_the_exact_partial_on_grid_points():
+    rng = random.Random(34)
+    for _ in range(60):
+        s = rng.randint(1, 8)
+        scaled = _grid_point(rng, s, 10)
+        e = tuple(Fraction(x, 64) for x in scaled)
+        _assert_gradients_are_the_exact_partials(_positions_over_64(scaled), 64, e, range(1, s + 1))
+
+
+def test_a_vanishing_difference_stays_out_of_the_other_columns_gradients():
+    # e = (1/2, 2, 1, -3) at scale 2: P = (0, 3, 9, 13, 9), so P_4 - P_2 vanishes
+    # and P_4 - P_3 is negative; columns 2 and 4 use that pair, columns 1 and 3 do not
+    e = (Fraction(1, 2), 2, 1, -3)
+    p = [0, 3, 9, 13, 9]
+    assert pure._positions(e) == (p, 2)
+    for j in (2, 4):
+        with pytest.raises(DomainError):
+            hk_pair(p, j)
+        with pytest.raises(DomainError):
+            pure_total_partial(j, 1, e)
+    _assert_gradients_are_the_exact_partials(p, 2, e, (1, 3))
+    for j, k in product((1, 3), range(1, 5)):
+        assert pure_total_partial(j, k, e) == column_total_partial(j, k, e)
 
 
 def test_reported_gradient_value_is_the_exact_combination_of_partials(monkeypatch, fresh_sweep):
@@ -408,9 +443,9 @@ def test_verify_is_deterministic(fresh_sweep):
 def _flip_log_gradient(monkeypatch):
     original = pure._log_gradient
 
-    def flipped(p, j):
-        grad, common = original(p, j)
-        return [-g for g in grad], common
+    def flipped(p):
+        grads, common = original(p)
+        return [[-g for g in grad] for grad in grads], common
 
     monkeypatch.setattr(pure, "_log_gradient", flipped)
 
@@ -470,35 +505,34 @@ def test_gradient_sweeps_report_the_rows_of_separate_loops(monkeypatch, fresh_sw
     assert len({repr(rows) for rows in seen}) == len(keys) - 1
 
 
-def _assert_one_log_gradient_per_sampled_column(monkeypatch, passed):
+def _assert_one_log_gradient_per_sampled_point(monkeypatch, passed):
     calls = []
     original = pure._log_gradient
 
-    def counted(p, j):
-        calls.append((tuple(p), j))
-        return original(p, j)
+    def counted(p):
+        calls.append(tuple(p))
+        return original(p)
 
     monkeypatch.setattr(pure, "_log_gradient", counted)
     assert verify_first_gap_monotone(6, 50, 9).passed is passed
     assert verify_inward_shift_monotone(6, 50, 9).passed is passed
     rng = random.Random(9)
-    columns = []
+    points = []
     for _ in range(50):
         s = rng.randint(1, 6)
-        p = tuple(_positions_over_64(_sample_gap_vector(rng, s)))
-        columns += [(p, j) for j in range(1, s + 1)]
-    assert calls == columns
+        points.append(tuple(_positions_over_64(_sample_gap_vector(rng, s))))
+    assert calls == points
 
 
-def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_column(monkeypatch, fresh_sweep):
-    _assert_one_log_gradient_per_sampled_column(monkeypatch, passed=True)
+def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_point(monkeypatch, fresh_sweep):
+    _assert_one_log_gradient_per_sampled_point(monkeypatch, passed=True)
 
 
-def test_reported_rows_take_no_log_gradient_beyond_their_column(monkeypatch, fresh_sweep):
+def test_reported_rows_take_no_log_gradient_beyond_their_point(monkeypatch, fresh_sweep):
     # under the flip both lemmas report rows, and a row's value must come from
-    # the log-gradient its column already took
+    # the log-gradient its point already took
     _flip_log_gradient(monkeypatch)
-    _assert_one_log_gradient_per_sampled_column(monkeypatch, passed=False)
+    _assert_one_log_gradient_per_sampled_point(monkeypatch, passed=False)
 
 
 def test_derivatives_at_origin_all_columns():
