@@ -9,8 +9,9 @@ call that left state in the parser would change a later block.
 
 The transcript ends with the heavier pinned runs in `PINNED`: the Betti
 tables of six families, the three scans over the whole guard rail, the lemmas
-at 10^4 samples, long pure chains through `decompose --validate`, and the
-refusals of inputs whose work would be vast.  They are replayed once, in order.
+at 10^4 samples with s up to 8 and up to the --s-max guard of 32, long pure
+chains through `decompose --validate`, and the refusals of inputs whose work
+would be vast.  They are replayed once, in order.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ FILES = {
     '{"i":1,"j":3,"value":"63"},{"i":2,"j":3,"value":"90"},{"i":2,"j":4,"value":"114"},'
     '{"i":2,"j":5,"value":"9"},{"i":3,"j":5,"value":"50"},{"i":3,"j":6,"value":"12"}]}',
     "ideal": '{"nvars": 3, "generators": [[2,0,0],[1,1,0],[0,1,1],[0,0,3]]}',
-    # column 1 is empty below the projective dimension 2
     # a free module: column 1 is empty, so check-beh notes the shape hypothesis vacuous
     "free": '{"entries": [{"i":0,"j":0,"value":"2"}]}',
+    # column 1 is empty below the projective dimension 2
     "gap": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":2,"j":3,"value":"1"}]}',
     "negative": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":1,"j":2,"value":"-1"}]}',
     # 30 terms with s = 8, each sequence one degree above the last
@@ -109,6 +110,7 @@ COMMANDS = [
     "scan --s-max x --d-max 3 --mode shape-verify",
     "verify-lemmas --samples 10",
     "monomial-betti",
+    "monomial-betti {ideal} --family power-of-maximal(2,2)",
     "pure --degrees 0,,2",
     "monomial-betti --family nosuch(3)",
     "check-pure --degrees 0,1,1",
@@ -136,6 +138,8 @@ PINNED = [
     # beta_1 of S/m and S/m^2 in 3 variables: 3 and 6
     "asymptotic --codim 3 --delta 1 --defect 0 --j 1 --t-max 2 --format json",
     "verify-lemmas --samples 10000 --seed 1 --s-max 8 --format json",
+    # at the --s-max guard each sample's log-gradient has the most pairwise factors
+    "verify-lemmas --samples 10000 --seed 1 --s-max 32",
     "decompose {chain30} --validate --format json",
     "decompose {chain200} --validate --format json",
     # refused before any column check or any sequence is built

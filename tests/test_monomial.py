@@ -304,13 +304,24 @@ def test_ideals_of_several_components_match_the_taylor_oracle():
         assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal), ideal
 
 
-def test_complete_intersection_of_twenty_disjoint_supports_finishes():
-    # x_5i...x_5i+4 for i < 20 in 100 variables: 20 one-generator components,
-    # where a walk over the 2^20 subset lcms of 100 coordinates takes 25 s and 1 GB
-    gens = [[int(5 * i <= v < 5 * i + 5) for v in range(100)] for i in range(20)]
+@pytest.mark.parametrize(
+    "nvars, uses, expected",
+    [
+        # g_i = x_0...x_19 / x_i: the top strand has 2^20 - 21 Taylor cells and a K^m of 20 points
+        (20, lambda i, v: v != i, {(0, 0): 1, (1, 19): 20, (2, 20): 19}),
+        # x_0, ..., x_19 in 1000 variables, 980 of which no generator uses
+        (1000, lambda i, v: v == i, {(i, i): math.comb(20, i) for i in range(21)}),
+        # x_5i...x_5i+4 in 100 variables: 20 one-generator components, where a
+        # walk over the 2^20 subset lcms of 100 coordinates takes 25 s and 1 GB
+        (100, lambda i, v: 5 * i <= v < 5 * i + 5, {(i, 5 * i): math.comb(20, i) for i in range(21)}),
+    ],
+    ids=["facets", "unused", "disjoint"],
+)
+def test_complete_intersection_of_twenty_disjoint_supports_finishes(nvars, uses, expected):
+    gens = [[int(uses(i, v)) for v in range(nvars)] for i in range(20)]
     with time_limit(2):
-        diagram = taylor_betti(minimalize(100, gens))
-    assert diagram == BettiDiagram({(i, 5 * i): math.comb(20, i) for i in range(21)})
+        diagram = taylor_betti(minimalize(nvars, gens))
+    assert diagram == BettiDiagram(expected)
 
 
 def _wide_strand_ideal(n):
