@@ -33,7 +33,7 @@ class NotInConeError(BettiError):
 
 
 class TooManyGeneratorsError(BettiError):
-    """Generator count exceeds the subset-enumeration guard."""
+    """Generator count exceeds the guard `monomial.MAX_GENERATORS`."""
 
 
 class UsageError(BettiError):

@@ -1,12 +1,13 @@
 """Exact Betti diagrams of monomial quotients, one multidegree strand at a time.
 
-The generators are first split into components that share no variable: the
-resolution of S/(J + K), with J and K in disjoint variables, is the tensor
-product of theirs, so the graded Betti polynomials sum beta_{i,j} u^i t^j of
-the components multiply, and a component of one generator g gives
-1 + u t^(deg g).  Variables that no generator uses are in no component.
+The generators are first split into components that share no variable.  With
+J and K in disjoint variables, Tor_i(S/J, S/K) = 0 for i > 0, so the tensor
+product of minimal free resolutions of S/J and S/K is a minimal free
+resolution of their tensor product S/(J + K), and the graded Betti
+polynomials sum beta_{i,j} u^i t^j of the components multiply.  Variables
+that no generator uses are in no component.
 
-In each other component only the elements m of the LCM lattice carry Betti
+In each component only the elements m of the LCM lattice carry Betti
 numbers.  The lattice is grown by join closure, r joins per element for r
 generators: each m keeps the number of generator subsets with lcm m (the
 cells of the m-strand of the Taylor complex tensored with the field, whose
@@ -242,8 +243,6 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
     of generator subsets with lcm m and the union of those subsets, and adding
     generator b adds every subset so far, with b, at lcm(m, g_b).
     """
-    if len(gens) == 1:
-        return {(0, 0): 1, (1, sum(gens[0])): 1}
     lattice = {(0,) * len(gens[0]): (1, 0)}
     for bit, g in enumerate(gens):
         for m, (count, union) in list(lattice.items()):

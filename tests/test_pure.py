@@ -26,7 +26,6 @@ from helpers import (
     NOT_EXACT_IDS,
     NOT_EXACT_VALUES,
     column_total_partial,
-    from_gaps,
     hk_equation_solve,
     koszul,
     pure_total_split,
@@ -157,28 +156,6 @@ def test_pure_total_matches_herzog_kuhl_on_integer_grid():
         totals = hk_equation_solve(degrees)
         for j in range(1, len(e) + 1):
             assert pure_total(j, e) == totals[j]
-
-
-def test_narrow_denominator_variant_fails_the_identity():
-    # dropping the i = j factor from the first denominator product breaks the
-    # match with the diagram construction at e = (1, 0, 1), j = 3
-    def narrow_variant(j, e):
-        d = from_gaps(e, 0)
-        s = len(e)
-        value = Fraction(1)
-        for i in range(1, s + 1):
-            if i != j:
-                value *= d[i] - d[0]
-        for i in range(2, j):  # stops short of i = j
-            value /= d[j] - d[i - 1]
-        for i in range(j + 1, s + 1):
-            value /= d[i] - d[j]
-        return value
-
-    e = (1, 0, 1)
-    assert narrow_variant(3, e) == 2
-    assert pure_total(3, e) == 1
-    assert herzog_kuhl(from_gaps(e, 0)).totals()[3] == 1
 
 
 def test_pure_total_rejects_negative_coordinates():
