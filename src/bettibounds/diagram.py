@@ -163,14 +163,7 @@ class BettiDiagram:
     def __add__(self, other):
         if not isinstance(other, BettiDiagram):
             return NotImplemented
-        merged = dict(self._entries)
-        for key, value in other._entries.items():
-            total = merged.get(key, Fraction(0)) + value
-            if total:
-                merged[key] = total
-            else:
-                del merged[key]
-        return self._wrap(merged)
+        return BettiDiagram([*self._entries.items(), *other._entries.items()])
 
     def __sub__(self, other):
         if not isinstance(other, BettiDiagram):
@@ -180,10 +173,7 @@ class BettiDiagram:
     def __mul__(self, scalar):
         if type(scalar) not in (int, Fraction):  # exact types, as in exact_value
             return NotImplemented
-        factor = Fraction(scalar)
-        if not factor:
-            return BettiDiagram()
-        return self._wrap({k: factor * v for k, v in self._entries.items()})
+        return BettiDiagram({k: scalar * v for k, v in self._entries.items()})
 
     __rmul__ = __mul__
 
@@ -282,12 +272,6 @@ class BettiDiagram:
             cells = (self._entries.get((i, r + i)) for i in columns)
             grid.append([f"{r}:"] + ["." if v is None else format_rational(v) for v in cells])
         return format_grid(grid)
-
-    @staticmethod
-    def _wrap(entries: dict) -> "BettiDiagram":
-        diagram = BettiDiagram.__new__(BettiDiagram)
-        diagram._entries = entries
-        return diagram
 
 
 # -- degree sequences ----------------------------------------------------------

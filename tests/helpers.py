@@ -27,7 +27,6 @@ from bettibounds import (
     DomainError,
     NotInConeError,
     corpus,
-    herzog_kuhl,
     minimalize,
     taylor_betti,
 )
@@ -246,11 +245,12 @@ def random_chain(rng: random.Random, s: int, n_terms: int, step=2):
 
 
 def pure_sum(terms):
-    """The diagram sum of c * herzog_kuhl(d) over (c, d) in terms, summed in a plain dict."""
+    """The diagram sum of c * pi(d) over (c, d) in terms, summed in a plain dict
+    from the equation solver."""
     table = {}
     for coefficient, degrees in terms:
-        for key, value in herzog_kuhl(degrees).items():
-            table[key] = table.get(key, 0) + coefficient * value
+        for i, total in enumerate(hk_equation_solve(degrees)):
+            table[i, degrees[i]] = table.get((i, degrees[i]), 0) + coefficient * total
     return BettiDiagram(table)
 
 

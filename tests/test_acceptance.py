@@ -151,6 +151,9 @@ def test_criterion_6():
         decomposition = decompose(diagram)
         assert recompose(decomposition) == diagram
         assert all(coefficient > 0 for coefficient, _ in decomposition)
+        # a chain: each sequence is termwise at least the last on their shared prefix
+        for (_, first), (_, second) in zip(decomposition, decomposition[1:]):
+            assert all(a <= b for a, b in zip(first, second))
         assert validate_bounds(decomposition, diagram).passed
 
 

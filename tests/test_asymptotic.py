@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -163,15 +164,20 @@ def test_exact_bound_holds_on_powers_of_the_maximal_ideal():
 
 
 def test_exact_bound_holds_on_genuine_powers():
-    diagrams = checked = 0
+    # every power meets the binomial floor, the one that fails the shape
+    # hypothesis included
+    verdicts = Counter()
+    checked = 0
     for delta, t, diagram in power_diagrams():
-        diagrams += 1
-        if not beh_check(diagram).hypothesis_met:
+        report = beh_check(diagram)
+        assert report.overall, (delta, t, diagram.items())
+        verdicts[report.hypothesis_met] += 1
+        if not report.hypothesis_met:
             continue
         for total, bound in genuine_bound_checks(delta, t, diagram):
             checked += 1
             assert total >= bound, (delta, t, diagram.items())
-    assert (diagrams, checked) == (408, 824)
+    assert (verdicts[True], verdicts[False], checked) == (407, 1, 824)
 
 
 def test_parameter_validation():

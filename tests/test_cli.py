@@ -109,14 +109,6 @@ def test_out_of_range_parameters_exit_2(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: domain: ")
 
 
-@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
-def test_monomial_betti_of_the_unit_ideal_is_empty(tmp_path, capsys, nvars):
-    path = tmp_path / "unit.json"
-    path.write_text(json.dumps({"nvars": nvars, "generators": [[0] * nvars]}), encoding="utf-8")
-    code, out, err = run(capsys, "monomial-betti", str(path))
-    assert (code, out, err) == (0, "(empty Betti diagram)\n", "")
-
-
 @pytest.mark.parametrize(
     "family",
     [

@@ -27,8 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from bettibounds import BettiDiagram, herzog_kuhl
 from bettibounds.cli import build_parser, main
+
+from helpers import pure_sum
 
 GOLDEN = Path(__file__).with_name("cli_golden.txt")
 
@@ -37,12 +38,11 @@ def pure_chain(degrees, terms, weight, bump) -> str:
     """JSON of the sum over k < terms of weight(k) * pi(degrees_k), where
     degrees_0 = degrees and degrees_{k+1} raises entry bump(k) of degrees_k by 1."""
     degrees = list(degrees)
-    table = {}
+    chain = []
     for k in range(terms):
-        for key, value in herzog_kuhl(degrees).items():
-            table[key] = table.get(key, 0) + weight(k) * value
+        chain.append((weight(k), tuple(degrees)))
         degrees[bump(k)] += 1
-    return BettiDiagram(table).to_json()
+    return pure_sum(chain).to_json()
 
 
 FILES = {
@@ -58,6 +58,8 @@ FILES = {
     '{"i":1,"j":3,"value":"63"},{"i":2,"j":3,"value":"90"},{"i":2,"j":4,"value":"114"},'
     '{"i":2,"j":5,"value":"9"},{"i":3,"j":5,"value":"50"},{"i":3,"j":6,"value":"12"}]}',
     "ideal": '{"nvars": 3, "generators": [[2,0,0],[1,1,0],[0,1,1],[0,0,3]]}',
+    # the unit ideal: S/S = 0 has no Betti numbers
+    "unit": '{"nvars": 3, "generators": [[0,0,0]]}',
     # a free module: column 1 is empty, so check-beh notes the shape hypothesis vacuous
     "free": '{"entries": [{"i":0,"j":0,"value":"2"}]}',
     # column 1 is empty below the projective dimension 2
@@ -82,6 +84,10 @@ COMMANDS = [
     "check-pure --degrees 0,1,2,3",
     "check-pure --degrees 0,1,2,3,5,6",
     "check-pure --degrees 0,1,2,3,5,6 --format json",
+    # w(s, f) = (0, f, ..., f+s-2, 2f+s-1) at s = 3, f = 2 has regularity 2f - 1
+    # and last total f/(f+s-1); one degree lower, at 2f - 2, that total is 1
+    "check-pure --degrees 0,2,3,6",
+    "check-pure --degrees 0,2,3,5",
     "decompose {quotient}",
     "decompose {quotient} --format json",
     "decompose {chain}",
@@ -106,6 +112,7 @@ COMMANDS = [
     "monomial-betti --family vplusm(3,2,x0^2,x0*x1)",
     "monomial-betti --family square-free-example(4) --format json",
     "monomial-betti {ideal}",
+    "monomial-betti {unit}",
     # one failing command per error kind the CLI can reach
     "scan --s-max x --d-max 3 --mode shape-verify",
     "verify-lemmas --samples 10",

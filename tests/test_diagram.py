@@ -239,16 +239,6 @@ def test_constructor_refuses_keys_that_are_not_pairs(key):
     assert str(excinfo.value) == f"diagram key must be a pair of integers, got {key!r}"
 
 
-def test_table_rendering():
-    text = herzog_kuhl((0, 1, 2, 4)).table()
-    lines = text.splitlines()
-    assert lines[1].strip().startswith("total:")
-    assert "8/3" in lines[1]
-    assert lines[-1].strip().startswith("1:")
-    assert "." in lines[-1]
-    assert BettiDiagram().table() == "(empty Betti diagram)"
-
-
 def test_table_is_limited_in_columns_too():
     with pytest.raises(DomainError, match="would have 1000001 columns"):
         BettiDiagram({(0, 0): 1, (10**6, 10**6): 1}).table()

@@ -23,7 +23,6 @@ from bettibounds import (
 from helpers import (
     WEAK_MAX_DEGREE_IDEAL,
     _rank,
-    koszul,
     monomial_corpus,
     random_equigenerated_ideal,
     random_monomial_ideal,
@@ -348,9 +347,28 @@ def test_generators_alone_in_reaching_m_are_in_every_taylor_cell():
     assert peak < 64 * 1024, peak
 
 
-@pytest.mark.parametrize("n, d", [(4, 3), (2, 19)])
-def test_twenty_generator_families_walk_their_lattice_not_their_subsets(n, d):
-    # the lattices have 242 and 211 elements; the 2^20 subset lcms take over a second
+def _eagon_northcott(n, d):
+    """S/m^d in n variables: beta_i = C(n+d-1, d+i-1) * C(d+i-2, i-1) in degree d+i-1."""
+    expected = {(0, 0): 1}
+    for i in range(1, n + 1):
+        expected[i, d + i - 1] = math.comb(n + d - 1, d + i - 1) * math.comb(d + i - 2, i - 1)
+    return BettiDiagram(expected)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        *((2, d) for d in range(1, 5)),
+        (3, 2),
+        (3, 4),
+        *((n, 1) for n in (1, *range(3, 11))),  # m itself: the Koszul complex
+        # 20 generators: the lattices have 242 and 211 elements, and the 2^20
+        # subset lcms take over a second
+        (4, 3),
+        (2, 19),
+    ],
+)
+def test_powers_of_the_maximal_ideal_match_eagon_northcott(n, d):
     ideal = corpus(f"power-of-maximal({n},{d})")
     with time_limit(0.5):
         diagram = taylor_betti(ideal)
@@ -358,7 +376,7 @@ def test_twenty_generator_families_walk_their_lattice_not_their_subsets(n, d):
 
 
 def test_taylor_betti_matches_upper_koszul_oracle():
-    # the Euler characteristic above cannot see a wrong rank; this oracle can
+    # the Euler characteristic of criterion 9 cannot see a wrong rank; this oracle can
     for ideal in oracle_ideals():
         assert dict(taylor_betti(ideal).items()) == upper_koszul_betti(ideal), ideal
 
@@ -436,52 +454,14 @@ def test_unit_ideal_has_the_empty_diagram(nvars):
     assert taylor_oracle_betti(ideal) == {}
 
 
-def test_power_of_maximal_quotients_are_pure():
-    # the quotient by m^d in two variables resolves purely at degrees (0, d, d+1)
-    # with column totals (1, d+1, d); in three variables m^2 gives (1, 6, 8, 3)
-    for d in range(1, 5):
-        diagram = taylor_betti(corpus(f"power-of-maximal(2,{d})"))
-        assert diagram == BettiDiagram({(0, 0): 1, (1, d): d + 1, (2, d + 1): d})
-    assert taylor_betti(corpus("power-of-maximal(3,2)")) == BettiDiagram(
-        {(0, 0): 1, (1, 2): 6, (2, 3): 8, (3, 4): 3}
-    )
-
-
 def test_complete_graph_edge_ideals_linear_resolution():
     # quotient totals k * C(n, k+1) in column k >= 1, all in row 1
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         diagram = taylor_betti(corpus(f"square-free-example({n})"))
         expected = {(0, 0): Fraction(1)}
         for k in range(1, n):
             expected[k, k + 1] = k * math.comb(n, k + 1)
         assert diagram == BettiDiagram(expected), n
-
-
-def _eagon_northcott(n, d):
-    """S/m^d in n variables: beta_i = C(n+d-1, d+i-1) * C(d+i-2, i-1) in degree d+i-1."""
-    expected = {(0, 0): 1}
-    for i in range(1, n + 1):
-        expected[i, d + i - 1] = math.comb(n + d - 1, d + i - 1) * math.comb(d + i - 2, i - 1)
-    return BettiDiagram(expected)
-
-
-def test_power_of_maximal_3_4_matches_eagon_northcott():
-    # 15 generators
-    assert taylor_betti(corpus("power-of-maximal(3,4)")) == _eagon_northcott(3, 4)
-
-
-def test_square_free_example_6_linear_resolution():
-    # beta_{i,i+1} = i * C(k, i+1); 15 generators
-    k = 6
-    expected = {(0, 0): 1}
-    for i in range(1, k):
-        expected[i, i + 1] = i * math.comb(k, i + 1)
-    assert taylor_betti(corpus(f"square-free-example({k})")) == BettiDiagram(expected)
-
-
-def test_power_of_maximal_linear_forms_is_koszul():
-    for n in range(1, 11):
-        assert taylor_betti(corpus(f"power-of-maximal({n},1)")) == koszul(n), n
 
 
 def test_strands_with_a_strict_divisor_carry_no_homology():
