@@ -456,12 +456,21 @@ def test_unit_ideal_has_the_empty_diagram(nvars):
 
 def test_complete_graph_edge_ideals_linear_resolution():
     # quotient totals k * C(n, k+1) in column k >= 1, all in row 1
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5):
         diagram = taylor_betti(corpus(f"square-free-example({n})"))
         expected = {(0, 0): Fraction(1)}
         for k in range(1, n):
             expected[k, k + 1] = k * math.comb(n, k + 1)
         assert diagram == BettiDiagram(expected), n
+
+
+def test_square_free_example_6_linear_resolution():
+    # beta_{i,i+1} = i * C(k, i+1); 15 generators
+    k = 6
+    expected = {(0, 0): 1}
+    for i in range(1, k):
+        expected[i, i + 1] = i * math.comb(k, i + 1)
+    assert taylor_betti(corpus(f"square-free-example({k})")) == BettiDiagram(expected)
 
 
 def test_strands_with_a_strict_divisor_carry_no_homology():
