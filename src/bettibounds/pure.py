@@ -14,20 +14,24 @@ leaves the totals unchanged.  It is also the definition `beh.scan` is held
 to: the scan builds a prefix d_1 < ... < d_{s-1}'s products once and each
 last degree's pairs from them in O(s), and a test asserts those pairs equal
 this kernel's, as unreduced integers.  A second integer kernel gives the
-logarithmic gradient at the same positions.  In gap coordinates the
-column total is a rational function of e with no poles on the closed
-nonnegative orthant, which makes sign questions about its partial
+table behind the logarithmic gradients at the same positions.  In gap
+coordinates the column total is a rational function of e with no poles on
+the closed nonnegative orthant, which makes sign questions about its partial
 derivatives exact finite computations.  The verify_* functions sample seeded
 rational points and check those signs, plus the binomial floor
-total_j >= C(s, j) on the region where the first gap dominates the rest;
-the two gradient lemmas share their points and one log gradient per point,
-which reads every column off one table of the pairwise factors P_b - P_a.
-Every sampled denominator divides 64, except that of the floor's boundary
-point e = (x, 0, ..., 0, x*c/64), which divides 64^2.  So each point is
-cleared to integer positions and every sign is decided on integers: the log
-gradients as integer numerators over one positive common denominator, the
-floor and its closed forms by cross-multiplying integer pairs.  Fractions are
-built only for the rows a sweep reports.
+total_j >= C(s, j) on the region where the first gap dominates the rest.
+The two gradient lemmas share their points and one table per point: the lcm
+L of the pairwise factors P_b - P_a and each L/(P_b - P_a), off which every
+sign they check is read as one running sum.  Every integer draw of the
+sweeps goes through one rejection sampler, `_below`, so a seed's points are
+defined by `random()` and `getrandbits` alone; a negative seed is refused,
+as `random.Random` would seed it with its absolute value.  Every sampled
+denominator divides 64, except that of the floor's boundary point
+e = (x, 0, ..., 0, x*c/64), which divides 64^2.  So each point is cleared to
+integer positions and every sign is decided on integers: the gradient signs
+as integer numerators over one positive common denominator, the floor and its
+closed forms by cross-multiplying integer pairs.  Fractions are built only
+for the rows a sweep reports.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .errors import DomainError
 _SAMPLE_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
 _SAMPLE_SCALE = 64  # every sampled denominator divides it
 # the cost of one sample grows steeply with s: all three sweeps over 10^4
-# samples took 3.9 s at s_max 32 and 0.49 s at s_max 8 (median of in-process
-# runs, Python 3.11.7, 2 vCPU)
+# samples took 3.2 s at s_max 32 and 0.31 s at s_max 8 (median of timed
+# cli.main runs, one fresh interpreter each, Python 3.11.7, 2 vCPU)
 MAX_SWEEP_S = 32
 
 
@@ -136,47 +140,30 @@ def pure_total(j: int, e: Sequence) -> Fraction:
 
 
 def _log_gradient(p: Sequence[int]) -> Tuple[List[List[int]], int]:
-    """Logarithmic gradients of every column total at integer positions p.
+    """The reciprocal table behind every column's logarithmic gradient at positions p.
 
     A factor P_b - P_a (a < b) of the kernel product equals
     D*(b - a + e_{a+1} + ... + e_b), so the k-th partial of log(total_j) is D
     times the sum of 1/(P_b - P_a) over column j's factors with a < k <= b,
-    counted + in the numerator and - in the denominator.  With L the lcm of the
-    nonzero differences P_b - P_a and q[a][b] = L/(P_b - P_a), taken once for
-    all columns, that sum is L times
+    counted + in the numerator and - in the denominator.  Returned as (q, L):
+    L is the lcm of the nonzero differences P_b - P_a and q[a][b] = L/(P_b - P_a)
+    for a < b, zero on and below the diagonal.  Column j's integer numerator
+    over the one positive common denominator L, d log(total_j)/de_k = D*G_k/L, is
 
-        sum_{i >= k} q[0][i] - sum_{m < k} q[m][j]   for k <= j,
-        sum_{i >= k} q[0][i] - sum_{i >= k} q[j][i]  for k > j,
+        G_k = sum_{i >= k} q[0][i] - sum_{m < k} q[m][j]   for k <= j,
+        G_k = sum_{i >= k} q[0][i] - sum_{i >= k} q[j][i]  for k > j,
 
     where the first line's m = 0 term removes the numerator factor P_j - P_0
-    that column j leaves out.  Returned as (grads, L): grads[j-1] holds the
-    integer numerators (G_1, ..., G_s) of column j over the one positive common
-    denominator L, d log(total_j)/de_k = D*G_k/L, so G_k carries the sign of the
-    partial.  A vanishing difference, possible only off the orthant, gets q = 0
-    and stays out of L; a column that uses one is refused by `hk_pair`.
+    that column j leaves out; G_k carries the sign of the partial.  Callers
+    read the sums they need off the table: `pure_total_partial` one G_k, and
+    `_gradient_sweep` each difference it checks as a running sum.  A vanishing
+    difference, possible only off the orthant, gets q = 0 and stays out of L; a
+    column that uses one is refused by `hk_pair`.
     """
-    s = len(p) - 1
     diffs = [[pb - pa for pb in p[a + 1 :]] for a, pa in enumerate(p)]
     common = math.lcm(*(d for row in diffs for d in row if d))
-    # q[a][b] for a < b; zero on and below the diagonal
     q = [[0] * (a + 1) + [common // d if d else 0 for d in row] for a, row in enumerate(diffs)]
-    suffix = [0] * (s + 2)  # suffix[k] = sum_{i >= k} q[0][i]
-    for i in range(s, 0, -1):
-        suffix[i] = suffix[i + 1] + q[0][i]
-    grads = []
-    for j in range(1, s + 1):
-        grad = []
-        acc = 0
-        for k in range(1, j + 1):
-            acc += q[k - 1][j]
-            grad.append(suffix[k] - acc)
-        row, acc, above = q[j], 0, []
-        for k in range(s, j, -1):
-            acc += row[k]
-            above.append(suffix[k] - acc)
-        above.reverse()
-        grads.append(grad + above)
-    return grads, common
+    return q, common
 
 
 def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
@@ -186,8 +173,12 @@ def pure_total_partial(j: int, k: int, e: Sequence) -> Fraction:
     _check_column(k, len(e))
     p, scale = _positions(e)
     num, den = hk_pair(p, j)
-    grads, common = _log_gradient(p)
-    return Fraction(num * scale * grads[j - 1][k - 1], den * common)
+    q, common = _log_gradient(p)
+    if k <= j:
+        g = sum(q[0][k:]) - sum(q[m][j] for m in range(k))
+    else:
+        g = sum(q[0][k:]) - sum(q[j][k:])
+    return Fraction(num * scale * g, den * common)
 
 
 # -- seeded verification sweeps ---------------------------------------------------
@@ -214,13 +205,27 @@ class VerifyReport:
         return not self.violations
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: n.bit_length() random bits, redrawn until below n.
+
+    Every draw of the sweeps goes through here, so a seed's points are defined
+    by `random()` and `getrandbits` alone.  They are the draws `randint` and
+    `choice` make too, since CPython samples those by this same rejection rule.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_coordinate(rng: random.Random, max_value: int = 10) -> int:
     """One gap coordinate with a denominator dividing 64, returned times 64."""
     # zero with probability 1/8 so boundary points of the orthant get exercised
     if rng.random() < 0.125:
         return 0
-    den = rng.choice(_SAMPLE_DENOMINATORS)
-    return rng.randint(0, max_value * den) * (_SAMPLE_SCALE // den)
+    den = _SAMPLE_DENOMINATORS[_below(rng, len(_SAMPLE_DENOMINATORS))]
+    return _below(rng, max_value * den + 1) * (_SAMPLE_SCALE // den)
 
 
 def _sample_gap_vector(rng: random.Random, s: int, max_value: int = 10) -> List[int]:
@@ -241,45 +246,64 @@ def _gradient_violation(
     return Violation(_gap_vector(scaled), j, k, Fraction(num * _SAMPLE_SCALE * g, den * common))
 
 
-def _check_sweep(s_max: int, samples: int):
+def _check_sweep(s_max: int, samples: int, seed: int):
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
     if s_max > MAX_SWEEP_S:
         raise DomainError(f"s_max must be at most {MAX_SWEEP_S}, got {s_max}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    # random.Random(seed) seeds with |seed|, so -7 would draw the points of 7
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # verify-lemmas asks it twice with one key
 def _gradient_sweep(s_max: int, samples: int, seed: int) -> Tuple[Tuple[Violation, ...], ...]:
-    """Rows of both gradient lemmas, from one log-gradient per sampled point.
+    """Rows of both gradient lemmas, from one reciprocal table per sampled point.
 
-    The point's common denominator spans every column's factors, so a row's
-    value total_j * 64*g/common is the rational it would be over the lcm of
-    column j's factors alone: g and common are scaled by the same integer.
+    Each sign checked is a running sum over the table q of `_log_gradient`:
+
+        G_1 = sum q[0] - q[0][j]                                  (first gap)
+        G_j - G_k = -sum_{k <= i < j} (q[0][i] + q[i][j])         (k < j)
+        G_{j+1} - G_k = sum_{j < i < k} (q[0][i] - q[j][i])       (k > j + 1)
+
+    The k < j sum runs from k = j - 1 down, so a column's rows are put back in
+    increasing k.  The point's common denominator spans every column's
+    factors, so a row's value total_j * 64*g/common is the rational it would
+    be over the lcm of column j's factors alone: g and common are scaled by
+    the same integer.
     """
     rng = random.Random(seed)
     first_gap, inward = [], []
     for _ in range(samples):
-        s = rng.randint(1, s_max)
+        s = 1 + _below(rng, s_max)
         x = _sample_gap_vector(rng, s)
         p = _gap_positions(x, _SAMPLE_SCALE)
-        grads, common = _log_gradient(p)
-        for j, grad in enumerate(grads, 1):
-            if grad[0] < 0:
-                first_gap.append(_gradient_violation(x, p, j, 1, grad[0], common))
-            for k in range(1, j):
-                if (g := grad[j - 1] - grad[k - 1]) > 0:
+        q, common = _log_gradient(p)
+        lead = q[0]
+        lead_sum = sum(lead)
+        for j in range(1, s + 1):
+            if (g := lead_sum - lead[j]) < 0:
+                first_gap.append(_gradient_violation(x, p, j, 1, g, common))
+            mark, g = len(inward), 0
+            for k in range(j - 1, 0, -1):
+                g -= lead[k] + q[k][j]
+                if g > 0:
                     inward.append(_gradient_violation(x, p, j, k, g, common))
+            if len(inward) > mark:
+                inward[mark:] = reversed(inward[mark:])
+            row, g = q[j], 0
             for k in range(j + 2, s + 1):
-                if (g := grad[j] - grad[k - 1]) > 0:
+                g += lead[k - 1] - row[k - 1]
+                if g > 0:
                     inward.append(_gradient_violation(x, p, j, k, g, common))
     return tuple(first_gap), tuple(inward)
 
 
 def verify_first_gap_monotone(s_max: int, samples: int, seed: int) -> VerifyReport:
     """Check d(total_j)/de_1 >= 0 at seeded rational points of the orthant."""
-    _check_sweep(s_max, samples)
+    _check_sweep(s_max, samples, seed)
     violations = _gradient_sweep(s_max, samples, seed)[0]
     return VerifyReport("first-gap-monotonicity", samples, seed, s_max, violations)
 
@@ -290,7 +314,7 @@ def verify_inward_shift_monotone(s_max: int, samples: int, seed: int) -> VerifyR
     Two sign conditions per column: (d/de_j - d/de_k) total_j <= 0 for k < j,
     and (d/de_{j+1} - d/de_k) total_j <= 0 for k > j + 1.
     """
-    _check_sweep(s_max, samples)
+    _check_sweep(s_max, samples, seed)
     violations = _gradient_sweep(s_max, samples, seed)[1]
     return VerifyReport("inward-shift-monotonicity", samples, seed, s_max, violations)
 
@@ -309,11 +333,11 @@ def verify_binomial_floor(s_max: int, samples: int, seed: int) -> VerifyReport:
 
     which is at least 1 whenever y <= x.
     """
-    _check_sweep(s_max, samples)
+    _check_sweep(s_max, samples, seed)
     rng = random.Random(seed)
     violations = []
     for _ in range(samples):
-        s = rng.randint(1, s_max)
+        s = 1 + _below(rng, s_max)
         tail = _sample_gap_vector(rng, s - 1, 5)
         x = sum(tail) + _sample_coordinate(rng, 10)  # 64 * e_1
         scaled = [x] + tail
@@ -333,7 +357,7 @@ def verify_binomial_floor(s_max: int, samples: int, seed: int) -> VerifyReport:
             violations.append(Violation(_gap_vector(reduced), 1, None, Fraction(num, den)))
         if s >= 2:
             # y = e_1 * c/64 = x*c / 64^2, so this point is cleared at scale 64^2
-            c = rng.randint(0, 64)
+            c = _below(rng, 65)
             scale = _SAMPLE_SCALE * _SAMPLE_SCALE
             boundary = [_SAMPLE_SCALE * x] + [0] * (s - 2) + [x * c]
             num, den = hk_pair(_gap_positions(boundary, scale), s)

@@ -123,6 +123,7 @@ COMMANDS = [
     "check-pure --degrees 0,1,1",
     "scan --s-max 9 --d-max 8 --mode find-violations",
     "verify-lemmas --samples 1 --seed 1 --s-max 1000000",
+    "verify-lemmas --samples 1 --seed -7",
     "asymptotic --codim 2 --delta 1 --defect 0 --j 1 --t-max 0",
     "check-beh {gap}",
     "decompose {negative}",
@@ -145,7 +146,7 @@ PINNED = [
     # beta_1 of S/m and S/m^2 in 3 variables: 3 and 6
     "asymptotic --codim 3 --delta 1 --defect 0 --j 1 --t-max 2 --format json",
     "verify-lemmas --samples 10000 --seed 1 --s-max 8 --format json",
-    # at the --s-max guard each sample's log-gradient has the most pairwise factors
+    # at the --s-max guard each sample's reciprocal table has the most pairwise factors
     "verify-lemmas --samples 10000 --seed 1 --s-max 32",
     "decompose {chain30} --validate --format json",
     "decompose {chain200} --validate --format json",

@@ -219,15 +219,17 @@ def test_integer_signs_match_the_product_rule_oracle():
         scaled = _grid_point(rng, s, 10)
         p = _positions_over_64(scaled)
         e = tuple(Fraction(x, 64) for x in scaled)
-        grads, common = _log_gradient(p)
+        q, common = _log_gradient(p)
         assert common > 0
-        for j, grad in enumerate(grads, 1):
+        for j in range(1, s + 1):
             partials = [column_total_partial(j, k, e) for k in range(1, s + 1)]
-            assert _sign(grad[0]) == _sign(partials[0])
+            assert _sign(sum(q[0]) - q[0][j]) == _sign(partials[0])
             for k in range(1, j):
-                assert _sign(grad[j - 1] - grad[k - 1]) == _sign(partials[j - 1] - partials[k - 1])
+                g = -sum(q[0][i] + q[i][j] for i in range(k, j))
+                assert _sign(g) == _sign(partials[j - 1] - partials[k - 1])
             for k in range(j + 2, s + 1):
-                assert _sign(grad[j] - grad[k - 1]) == _sign(partials[j] - partials[k - 1])
+                g = sum(q[0][i] - q[j][i] for i in range(j + 1, k))
+                assert _sign(g) == _sign(partials[j] - partials[k - 1])
 
         tail = _grid_point(rng, s - 1, 5)
         scaled = [sum(tail) + _grid_point(rng, 1, 10)[0]] + tail
@@ -240,12 +242,15 @@ def test_integer_signs_match_the_product_rule_oracle():
 
 
 def _assert_gradients_are_the_exact_partials(p, scale, e, columns):
-    """total_j * D*G_k/L equals the product-rule partial for every k of each column given."""
-    grads, common = _log_gradient(p)
-    assert common > 0 and len(grads) == len(e)
+    """total_j * D*G_k/L equals the product-rule partial for every k of each column given.
+
+    G_k is summed off the reciprocal table by the formula `_log_gradient` states."""
+    q, common = _log_gradient(p)
+    assert common > 0 and len(q) == len(e) + 1
     for j in columns:
         num, den = hk_pair(p, j)
-        for k, g in enumerate(grads[j - 1], 1):
+        for k in range(1, len(q)):
+            g = sum(q[0][k:]) - (sum(q[m][j] for m in range(k)) if k <= j else sum(q[j][k:]))
             assert Fraction(num * scale * g, den * common) == column_total_partial(j, k, e)
 
 
@@ -387,14 +392,14 @@ def _flip_log_gradient(monkeypatch):
     original = pure._log_gradient
 
     def flipped(p):
-        grads, common = original(p)
-        return [[-g for g in grad] for grad in grads], common
+        q, common = original(p)
+        return [[-v for v in row] for row in q], common
 
     monkeypatch.setattr(pure, "_log_gradient", flipped)
 
 
 def _separate_gradient_rows(s_max, samples, seed):
-    """(e, j, k, value) rows of each gradient lemma under a sign-flipped log-gradient.
+    """(e, j, k, value) rows of each gradient lemma under a negated reciprocal table.
 
     One loop per lemma over the samplers' points, signs and values from the
     product-rule oracle.  The flip negates every partial, so a row is reported
@@ -448,6 +453,16 @@ def test_gradient_sweeps_report_the_rows_of_separate_loops(monkeypatch, fresh_sw
     assert len({repr(rows) for rows in seen}) == len(keys) - 1
 
 
+def _seed_9_draws():
+    """The (s, 64 * e) draws of the gradient sweeps at s_max 6 and seed 9, replayed."""
+    rng = random.Random(9)
+    draws = []
+    for _ in range(50):
+        s = rng.randint(1, 6)
+        draws.append((s, _sample_gap_vector(rng, s)))
+    return draws
+
+
 def _assert_one_log_gradient_per_sampled_point(monkeypatch, passed):
     calls = []
     original = pure._log_gradient
@@ -459,21 +474,24 @@ def _assert_one_log_gradient_per_sampled_point(monkeypatch, passed):
     monkeypatch.setattr(pure, "_log_gradient", counted)
     assert verify_first_gap_monotone(6, 50, 9).passed is passed
     assert verify_inward_shift_monotone(6, 50, 9).passed is passed
-    rng = random.Random(9)
-    points = []
-    for _ in range(50):
-        s = rng.randint(1, 6)
-        points.append(tuple(_positions_over_64(_sample_gap_vector(rng, s))))
-    assert calls == points
+    assert calls == [tuple(_positions_over_64(x)) for _, x in _seed_9_draws()]
 
 
 def test_both_gradient_lemmas_take_one_log_gradient_per_sampled_point(monkeypatch, fresh_sweep):
+    # the first points, literally: a change to the draw order or to the
+    # sampler's rejection rule moves them, even where the replay follows it
+    assert _seed_9_draws()[:4] == [
+        (4, [128, 6, 616, 0]),
+        (5, [40, 448, 160, 64, 604]),
+        (1, [104]),
+        (3, [416, 273, 280]),
+    ]
     _assert_one_log_gradient_per_sampled_point(monkeypatch, passed=True)
 
 
 def test_reported_rows_take_no_log_gradient_beyond_their_point(monkeypatch, fresh_sweep):
     # under the flip both lemmas report rows, and a row's value must come from
-    # the log-gradient its point already took
+    # the reciprocal table its point already took
     _flip_log_gradient(monkeypatch)
     _assert_one_log_gradient_per_sampled_point(monkeypatch, passed=False)
 
