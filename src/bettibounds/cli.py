@@ -60,7 +60,7 @@ def _parse_ints(text: str, noun: str) -> tuple:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is not UTF-8
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 

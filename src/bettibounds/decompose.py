@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Tuple
 
 from .diagram import BettiDiagram, check_degree_sequence, exact_value
@@ -85,24 +85,25 @@ def decompose(diagram: BettiDiagram) -> Tuple[Term, ...]:
 def recompose(terms: Tuple[Term, ...]) -> BettiDiagram:
     """Exact sum of coefficient * pure diagram over all terms.
 
-    Each entry is summed as a reduced integer pair, so its size follows its
-    value, not the number of terms that reach it.  Coefficients must be of
-    type int or Fraction; anything else is a FormatError.
+    Each term adds the integer pair (cn * num, cd * den) to every entry it
+    reaches.  An entry's pairs are summed once, over the lcm of their
+    denominators, and reduced once, so no gcd is taken per term.
+    Coefficients must be of type int or Fraction; anything else is a
+    FormatError.
     """
-    table: dict[tuple[int, int], tuple[int, int]] = {}
+    parts: dict[tuple[int, int], list] = {}
     for coefficient, degrees in terms:
         degrees = check_degree_sequence(degrees)
         coefficient = exact_value(coefficient, "coefficient")
         cn, cd = coefficient.numerator, coefficient.denominator
         for i, d in enumerate(degrees):
             num, den = hk_pair(degrees, i)
-            n, m = cn * num, cd * den
-            if (i, d) in table:
-                tn, tm = table[i, d]
-                n, m = tn * m + n * tm, tm * m
-            g = gcd(n, m)
-            table[i, d] = (n // g, m // g)
-    return BettiDiagram({key: Fraction(n, m) for key, (n, m) in table.items()})
+            parts.setdefault((i, d), []).append((cn * num, cd * den))
+    table = {}
+    for key, pairs in parts.items():
+        scale = lcm(*[m for _, m in pairs])
+        table[key] = Fraction(sum([n * (scale // m) for n, m in pairs]), scale)
+    return BettiDiagram(table)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ underlying tables.  No floating point is used anywhere.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -72,7 +73,8 @@ def digit_limit_error() -> DomainError:
 def format_rational(value) -> str:
     """Render a rational as "p" or "p/q" in lowest terms with q > 0."""
     try:
-        return str(Fraction(value))
+        # a Fraction is already in lowest terms with q > 0, so it prints as it is
+        return str(value if type(value) is Fraction else Fraction(value))
     except ValueError:  # the interpreter's limit on integer string conversion
         raise digit_limit_error() from None
 
@@ -185,11 +187,16 @@ class BettiDiagram:
         return max(i for i, _ in self._entries)
 
     def totals(self) -> tuple:
-        """All column totals (index 0 through the projective dimension), in one walk."""
-        sums = [Fraction(0)] * (self.projective_dimension() + 1)
-        for (i, _), value in self._entries.items():
-            sums[i] += value
-        return tuple(sums)
+        """All column totals (index 0 through the projective dimension), in one walk.
+
+        Each column sums the cleared numerators of `_cleared` as integers, and
+        only its total becomes a Fraction.
+        """
+        scale, cleared = self._cleared()
+        sums = [0] * (self.projective_dimension() + 1)
+        for (i, _), numerator in cleared:
+            sums[i] += numerator
+        return tuple(Fraction(total, scale) for total in sums)
 
     def min_degrees(self) -> DegreeSequence:
         return self._column_extremes(min)
@@ -216,13 +223,32 @@ class BettiDiagram:
             raise DomainError("empty diagram has no regularity")
         return max(j - i for i, j in self._entries)
 
+    def _cleared(self) -> tuple:
+        """(L, ((i, j), L * value) pairs) for L the lcm of every denominator.
+
+        Every L * value is an integer, its value's numerator times L over its
+        denominator, so sums of them need no gcd.
+        """
+        scale = math.lcm(*(value.denominator for value in self._entries.values()))
+        pairs = (
+            (key, value.numerator * (scale // value.denominator))
+            for key, value in self._entries.items()
+        )
+        return scale, pairs
+
     def hilbert_numerator(self) -> Poly:
-        """Alternating sum over the table: sum of (-1)^i * value * t^j."""
-        return Poly(((j, -value if i % 2 else value) for (i, j), value in self._entries.items()))
+        """Alternating sum over the table: sum of (-1)^i * value * t^j, with Fraction coefficients."""
+        return _alternating_sum(self._entries.items())
 
     def codimension(self) -> int:
-        """Order of vanishing of the Hilbert numerator at t = 1."""
-        numerator = self.hilbert_numerator()
+        """Order of vanishing of the Hilbert numerator at t = 1.
+
+        It is read off L times the numerator, the alternating sum of the
+        cleared integers of `_cleared`: a positive scale leaves the order at
+        t = 1 unchanged, and no Fraction is added.
+        """
+        _, cleared = self._cleared()
+        numerator = _alternating_sum(cleared)
         if not numerator:
             raise DomainError("Hilbert numerator is identically zero")
         return numerator.vanishing_order_at_one()
@@ -272,6 +298,11 @@ class BettiDiagram:
             cells = (self._entries.get((i, r + i)) for i in columns)
             grid.append([f"{r}:"] + ["." if v is None else format_rational(v) for v in cells])
         return format_grid(grid)
+
+
+def _alternating_sum(pairs) -> Poly:
+    """sum of (-1)^i * value * t^j over ((i, j), value) pairs."""
+    return Poly((j, -value if i % 2 else value) for (i, j), value in pairs)
 
 
 # -- degree sequences ----------------------------------------------------------

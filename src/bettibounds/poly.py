@@ -3,12 +3,14 @@
 The numerator sum_{i,j} (-1)^i beta_{i,j} t^j may have negative exponents when
 a module is generated in negative degrees.  The only question asked of it is
 its order of vanishing at t = 1, the codimension.  Its coefficients come from
-a BettiDiagram's values, already exact, so no type is checked here.
+a BettiDiagram, already exact, so no type is checked here: its Fraction
+values for `hilbert_numerator`, and for `codimension` those values times the
+lcm L of their denominators, integers.  A positive scale leaves the order at
+t = 1 unchanged, and integers sum without a gcd.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import count
 
 from .errors import DomainError
@@ -38,14 +40,14 @@ class Poly:
         With p = t^a * q, the order is the least k with q^(k)(1) != 0, that is
         with sum_e c_e * (e - a)_k != 0 for the falling factorial (x)_k.  It
         is at most the number of terms minus one, so the work does not grow
-        with the degree spread.  Coefficients are scaled to integers first.
+        with the degree spread.  `codimension` passes integer coefficients, so
+        these sums take no gcd.
         """
         if not self._terms:
             raise DomainError("zero polynomial")
         terms = self.items()
         base = terms[0][0]
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        weights = [c.numerator * (scale // c.denominator) for _, c in terms]
+        weights = [c for _, c in terms]
         gaps = [e - base for e, _ in terms]
         for order in count():
             if sum(weights):

@@ -2,14 +2,14 @@
 
 The oracles here deliberately avoid the library's own code paths: pure
 diagrams are solved from their defining linear equations, diagram statistics
-are recomputed from dense tables, monomial Betti numbers come from upper
-Koszul complexes and from a Taylor complex over generator subsets, both with
-this module's own rank, Hilbert numerators come from inclusion-exclusion over
-generator subsets, partial derivatives of column totals come from the product
-and quotient rules over the linear forms of the product, interior column
-totals on a two-parameter slice come from their closed product form, and the
-greedy decomposition is repeated in plain Fractions on the solved pure
-diagrams.
+and codimensions are recomputed from dense tables, monomial Betti numbers
+come from upper Koszul complexes and from a Taylor complex over generator
+subsets, both with this module's own rank, Hilbert numerators come from
+inclusion-exclusion over generator subsets, partial derivatives of column
+totals come from the product and quotient rules over the linear forms of the
+product, interior column totals on a two-parameter slice come from their
+closed product form, and the greedy decomposition is repeated in plain
+Fractions on the solved pure diagrams.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 import signal
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
 from bettibounds import (
     BettiDiagram,
@@ -190,30 +190,50 @@ def pure_total_split(j, s, t, e1):
 
 
 def dense_scan(diagram):
-    """Recompute column totals, extreme degrees, and regularity from a dense table."""
+    """Recompute column totals, extreme degrees, regularity and codimension from a dense table.
+
+    The table has a cell for every degree jmin + g * k up to jmax, for g the gcd
+    of the degrees' distances from jmin, so a vast spread of few degrees stays
+    small.  The codimension divides the dense Hilbert numerator in u = t^g by
+    (1 - u), in plain Fractions, for as long as it vanishes at u = 1.  It is
+    the order at t = 1 too: 1 - t^g is 1 - t times a factor that is g at t = 1.
+    It is None when the numerator is zero.
+    """
     items = diagram.items()
     imax = max(i for (i, _), _ in items)
     jmin = min(j for (_, j), _ in items)
     jmax = max(j for (_, j), _ in items)
-    dense = [[Fraction(0)] * (jmax - jmin + 1) for _ in range(imax + 1)]
+    step = math.gcd(*(j - jmin for (_, j), _ in items)) or 1
+    degrees = range(jmin, jmax + 1, step)
+    dense = [[Fraction(0)] * len(degrees) for _ in range(imax + 1)]
     for (i, j), value in items:
-        dense[i][j - jmin] += value
+        dense[i][(j - jmin) // step] += value
     totals = [sum(row, Fraction(0)) for row in dense]
     min_deg = []
     max_deg = []
     for row in dense:
-        support = [jmin + c for c, v in enumerate(row) if v]
+        support = [j for j, v in zip(degrees, row) if v]
         if not support:
             min_deg = max_deg = None
             break
         min_deg.append(min(support))
         max_deg.append(max(support))
-    reg = max(j - i for i in range(imax + 1) for j in range(jmin, jmax + 1) if dense[i][j - jmin])
+    reg = max(j - i for i, row in enumerate(dense) for j, v in zip(degrees, row) if v)
+    numerator = [sum(-v if i % 2 else v for i, v in enumerate(cells)) for cells in zip(*dense)]
+    codimension = None
+    if any(numerator):
+        codimension = 0
+        while sum(numerator) == 0:
+            # numerator = (1 - u) * quotient: quotient_k = numerator_0 + ... + numerator_k,
+            # and the remainder, the last such sum, is the value 0 at u = 1
+            numerator = list(accumulate(numerator))[:-1]
+            codimension += 1
     return {
         "totals": totals,
         "min_degrees": tuple(min_deg) if min_deg is not None else None,
         "max_degrees": tuple(max_deg) if max_deg is not None else None,
         "regularity": reg,
+        "codimension": codimension,
     }
 
 

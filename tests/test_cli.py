@@ -87,6 +87,19 @@ def test_decompose_missing_file(capsys):
     assert err.startswith("error: format:")
 
 
+@pytest.mark.parametrize("command", ["decompose", "check-beh", "monomial-betti"])
+def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"entries":[]}')
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: format: cannot read {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_an_empty_gap_tail_is_the_empty_tail(capsys):
     argv = ["asymptotic", "--codim", "1", "--delta", "1", "--defect", "0", "--j", "1", "--t-max", "1"]
     code, out, err = run(capsys, *argv, "--e-tail", "", "--format", "json")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,15 @@ from bettibounds import (
     parse_rational,
 )
 
-from helpers import NOT_EXACT_IDS, NOT_EXACT_VALUES, dense_scan, koszul, random_sparse_diagram
+from helpers import (
+    NOT_EXACT_IDS,
+    NOT_EXACT_VALUES,
+    dense_scan,
+    koszul,
+    pure_sum,
+    random_chain,
+    random_sparse_diagram,
+)
 
 
 # -- rational wire format ----------------------------------------------------
@@ -36,6 +45,14 @@ def test_parse_rational_rejects(bad):
 def test_format_rational_lowest_terms():
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(4, 2)) == "2"
+    assert format_rational(-12) == "-12"
+    assert format_rational(Fraction(-10, 4)) == "-5/2"
+    assert format_rational(Fraction(0, 7)) == "0"
+
+
+def test_format_rational_refuses_a_value_beyond_the_digit_limit():
+    with pytest.raises(DomainError, match="the interpreter's limit for printing an integer"):
+        format_rational(Fraction(10**5000, 3))
 
 
 # -- construction and linear structure ----------------------------------------
@@ -173,12 +190,42 @@ def test_stats_match_dense_scan():
         scan = dense_scan(diagram)
         assert diagram.totals() == tuple(scan["totals"])
         assert diagram.regularity() == scan["regularity"]
+        if scan["codimension"] is None:
+            with pytest.raises(DomainError):
+                diagram.codimension()
+        else:
+            assert diagram.codimension() == scan["codimension"]
         if scan["min_degrees"] is None:
             with pytest.raises(GapColumnError):
                 diagram.min_degrees()
         else:
             assert diagram.min_degrees() == scan["min_degrees"]
             assert diagram.max_degrees() == scan["max_degrees"]
+
+
+def test_codimension_and_totals_match_dense_division_at_known_orders():
+    rng = random.Random(20261020)
+    huge = 10**11
+    known = [(koszul(n), n) for n in range(1, 7)]
+    # 1 - t^huge, the spread `check-beh` reads, and (1 - t^huge)^3, a Koszul complex spread out
+    known.append((BettiDiagram({(0, 0): 1, (1, huge): 1}), 1))
+    known.append((BettiDiagram({(i, i * huge): math.comb(3, i) for i in range(4)}), 3))
+    for _ in range(12):
+        # a positive sum of pure diagrams of length s + 1 has codimension s; Fraction
+        # coefficients of unlike denominators, at negative degrees, mix the denominators
+        s = rng.randint(1, 5)
+        shift = -rng.randint(1, 6)
+        chain = random_chain(rng, s, rng.randint(2, 4))
+        terms = [
+            (Fraction(rng.randint(1, 9), rng.choice((2, 3, 5, 12))), tuple(d + shift for d in degrees))
+            for degrees in chain
+        ]
+        known.append((pure_sum(terms), s))
+    known.append((pure_sum([(Fraction(-2, 7), (-3, -1, 2, 3))]), 3))
+    for diagram, order in known:
+        scan = dense_scan(diagram)
+        assert diagram.codimension() == scan["codimension"] == order
+        assert diagram.totals() == tuple(scan["totals"])
 
 
 # -- linearity and JSON ----------------------------------------------------------

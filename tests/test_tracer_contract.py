@@ -85,3 +85,27 @@ def test_every_hook_reads_the_shape_it_expects(tracer_module):
     assert tracer.counters["monomial.rank.rows"] == 1
     assert tracer.counters["monomial.rank.entries"] == 1
     assert tracer.counters["monomial.betti_sum"] == 1 + 3 + 2
+
+
+def test_the_modules_commands_reach_the_kernels_the_tracer_binds(tracer_module, tmp_path, capsys):
+    # decompose --validate and check-beh are the benchmark's modules ops; a
+    # speedup that routes them around a traced name leaves its layer at 0
+    path = tmp_path / "diagram.json"
+    path.write_text(BettiDiagram({(0, 0): 2, (1, 2): 5, (2, 3): 2, (2, 4): 1}).to_json(), encoding="utf-8")
+    cli = importlib.import_module("bettibounds.cli")
+    expected = {
+        "decompose": {"decompose.recompose", "diagram.codimension", "poly.vanishing_order"},
+        "check-beh": {"diagram.codimension", "poly.vanishing_order"},
+    }
+    for argv in (["decompose", str(path), "--validate"], ["check-beh", str(path)]):
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(argv)
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0, argv
+        assert not tracer.absent
+        called = {name for name, (calls, _) in tracer.summary().items() if calls}
+        assert expected[argv[0]] <= called, argv
