@@ -71,10 +71,15 @@ def digit_limit_error() -> DomainError:
 
 
 def format_rational(value) -> str:
-    """Render a rational as "p" or "p/q" in lowest terms with q > 0."""
+    """Render an int or a Fraction as "p" or "p/q" in lowest terms with q > 0.
+
+    Any other type is a FormatError, by `exact_value`.
+    """
+    if type(value) is not Fraction:
+        value = exact_value(value, "value")
     try:
         # a Fraction is already in lowest terms with q > 0, so it prints as it is
-        return str(value if type(value) is Fraction else Fraction(value))
+        return str(value)
     except ValueError:  # the interpreter's limit on integer string conversion
         raise digit_limit_error() from None
 
@@ -236,21 +241,15 @@ class BettiDiagram:
         )
         return scale, pairs
 
-    def hilbert_numerator(self) -> Poly:
-        """Alternating sum over the table: sum of (-1)^i * value * t^j, with Fraction coefficients."""
-        return _alternating_sum(self._entries.items())
-
     def codimension(self) -> int:
         """Order of vanishing of the Hilbert numerator at t = 1.
 
-        It is read off L times the numerator, the alternating sum of the
-        cleared integers of `_cleared`: a positive scale leaves the order at
-        t = 1 unchanged, and no Fraction is added.
+        It is read off L times the numerator sum of (-1)^i * value * t^j, the
+        alternating sum of the cleared integers of `_cleared`: a positive scale
+        leaves the order at t = 1 unchanged, and no Fraction is added.
         """
         _, cleared = self._cleared()
-        numerator = _alternating_sum(cleared)
-        if not numerator:
-            raise DomainError("Hilbert numerator is identically zero")
+        numerator = Poly((j, -n if i % 2 else n) for (i, j), n in cleared)
         return numerator.vanishing_order_at_one()
 
     # -- wire format -----------------------------------------------------------
@@ -298,11 +297,6 @@ class BettiDiagram:
             cells = (self._entries.get((i, r + i)) for i in columns)
             grid.append([f"{r}:"] + ["." if v is None else format_rational(v) for v in cells])
         return format_grid(grid)
-
-
-def _alternating_sum(pairs) -> Poly:
-    """sum of (-1)^i * value * t^j over ((i, j), value) pairs."""
-    return Poly((j, -value if i % 2 else value) for (i, j), value in pairs)
 
 
 # -- degree sequences ----------------------------------------------------------

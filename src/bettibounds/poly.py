@@ -2,11 +2,10 @@
 
 The numerator sum_{i,j} (-1)^i beta_{i,j} t^j may have negative exponents when
 a module is generated in negative degrees.  The only question asked of it is
-its order of vanishing at t = 1, the codimension.  Its coefficients come from
-a BettiDiagram, already exact, so no type is checked here: its Fraction
-values for `hilbert_numerator`, and for `codimension` those values times the
-lcm L of their denominators, integers.  A positive scale leaves the order at
-t = 1 unchanged, and integers sum without a gcd.
+its order of vanishing at t = 1, the codimension.  `codimension` builds it from
+the diagram's values times the lcm L of their denominators, integers: a
+positive scale leaves the order at t = 1 unchanged, and integers sum without a
+gcd.
 """
 
 from __future__ import annotations
@@ -27,32 +26,20 @@ class Poly:
             data[exp] = data.get(exp, 0) + coeff
         self._terms = {exp: coeff for exp, coeff in data.items() if coeff}
 
-    def items(self):
-        """Terms as (exponent, coefficient) pairs, exponent-ascending."""
-        return tuple(sorted(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
     def vanishing_order_at_one(self) -> int:
         """Largest c such that (1 - t)^c divides this polynomial.
 
-        With p = t^a * q, the order is the least k with q^(k)(1) != 0, that is
-        with sum_e c_e * (e - a)_k != 0 for the falling factorial (x)_k.  It
-        is at most the number of terms minus one, so the work does not grow
-        with the degree spread.  `codimension` passes integer coefficients, so
-        these sums take no gcd.
+        The order is the least k with sum_e c_e * (e)_k != 0 for the falling
+        factorial (x)_k: that sum is the k-th derivative at t = 1, and a unit
+        t^a, which Laurent exponents may need, does not change the order there.
+        It is at most the number of terms minus one, so the work does not grow
+        with the degree spread.
         """
         if not self._terms:
-            raise DomainError("zero polynomial")
-        terms = self.items()
-        base = terms[0][0]
-        weights = [c for _, c in terms]
-        gaps = [e - base for e, _ in terms]
+            raise DomainError("Hilbert numerator is identically zero")
+        weights = list(self._terms.values())
+        exponents = list(self._terms)
         for order in count():
             if sum(weights):
                 return order
-            weights = [w * (g - order) for w, g in zip(weights, gaps)]
-
-    def __repr__(self):
-        return f"Poly({dict(self.items())!r})"
+            weights = [w * (e - order) for w, e in zip(weights, exponents)]

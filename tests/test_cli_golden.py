@@ -65,6 +65,8 @@ FILES = {
     # column 1 is empty below the projective dimension 2
     "gap": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":2,"j":3,"value":"1"}]}',
     "negative": '{"entries": [{"i":0,"j":0,"value":"1"},{"i":1,"j":2,"value":"-1"}]}',
+    # columns 0 and 1 cancel in degree 0, so the Hilbert numerator is zero
+    "zero": '{"entries":[{"i":0,"j":0,"value":"1"},{"i":1,"j":0,"value":"1"}]}',
     # 30 terms with s = 8, each sequence one degree above the last
     "chain30": pure_chain(range(0, 17, 2), 30, lambda k: Fraction(k + 1, 7), lambda k: 1 + k % 8),
     # 200 terms with s = 3, all sharing (0, 0); bumping the highest degree first
@@ -126,6 +128,7 @@ COMMANDS = [
     "verify-lemmas --samples 1 --seed -7",
     "asymptotic --codim 2 --delta 1 --defect 0 --j 1 --t-max 0",
     "check-beh {gap}",
+    "check-beh {zero}",
     "decompose {negative}",
     "monomial-betti --family power-of-maximal(3,5)",
     "monomial-betti --family power-of-maximal(2000,1)",

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bettibounds import (
     BettiDiagram,
@@ -53,6 +52,13 @@ def test_format_rational_lowest_terms():
 def test_format_rational_refuses_a_value_beyond_the_digit_limit():
     with pytest.raises(DomainError, match="the interpreter's limit for printing an integer"):
         format_rational(Fraction(10**5000, 3))
+
+
+@pytest.mark.parametrize("value", NOT_EXACT_VALUES, ids=NOT_EXACT_IDS)
+def test_format_rational_refuses_values_other_than_int_and_fraction(value):
+    with pytest.raises(FormatError) as excinfo:
+        format_rational(value)
+    assert str(excinfo.value) == f"value must be an int or a Fraction, got {type(value).__name__}"
 
 
 # -- construction and linear structure ----------------------------------------
@@ -155,25 +161,23 @@ def test_regularity():
     assert herzog_kuhl((0, 1, 2, 3, 5, 6)).regularity() == 1
 
 
-def test_hilbert_numerator_examples():
-    two_vars = BettiDiagram({(0, 0): 1, (1, 1): 2, (2, 2): 1})
-    assert dict(two_vars.hilbert_numerator().items()) == {0: 1, 1: -2, 2: 1}
-    generic = BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1})
-    assert dict(generic.hilbert_numerator().items()) == {0: 2, 1: -3, 3: 1}
-    assert not BettiDiagram().hilbert_numerator()
-
-
 def test_codimension_examples():
     assert koszul(3).codimension() == 3
     generic = BettiDiagram({(0, 0): 2, (1, 1): 3, (2, 3): 1})
     # 2 - 3t + t^3 = (1-t)^2 (2+t)
     assert generic.codimension() == 2
     assert herzog_kuhl((0, 1, 2, 4)).codimension() == 3
+    # (1 - t)^2 (1 - t^huge): the degrees' gcd is 1, so no dense table could hold it
+    huge = 10**11
+    spread = {(0, 0): 1, (1, 1): 2, (2, 2): 1, (1, huge): 1, (2, huge + 1): 2, (3, huge + 2): 1}
+    assert BettiDiagram(spread).codimension() == 3
 
 
 def test_codimension_zero_numerator():
-    with pytest.raises(DomainError):
-        BettiDiagram({(0, 0): 1, (1, 0): 1}).codimension()
+    # columns 0 and 1 cancel in degree 0; the empty diagram has no terms at all
+    for diagram in (BettiDiagram({(0, 0): 1, (1, 0): 1}), BettiDiagram()):
+        with pytest.raises(DomainError, match="^Hilbert numerator is identically zero$"):
+            diagram.codimension()
 
 
 def test_random_sparse_diagram_refuses_more_entries_than_cells():
@@ -206,7 +210,12 @@ def test_stats_match_dense_scan():
 def test_codimension_and_totals_match_dense_division_at_known_orders():
     rng = random.Random(20261020)
     huge = 10**11
-    known = [(koszul(n), n) for n in range(1, 7)]
+    # the order never exceeds the number of terms minus one, and (1 - t)^n reaches it
+    known = [(koszul(n), n) for n in range(1, 9)]
+    # t^-1 (1 - t): a unit t^a leaves the order at t = 1 alone
+    known.append((BettiDiagram({(0, -1): 1, (1, 0): 1}), 1))
+    # 1/3 t^-huge + 2/7 t^huge, nonzero at t = 1 however far apart its terms are
+    known.append((BettiDiagram({(0, -huge): Fraction(1, 3), (0, huge): Fraction(2, 7)}), 0))
     # 1 - t^huge, the spread `check-beh` reads, and (1 - t^huge)^3, a Koszul complex spread out
     known.append((BettiDiagram({(0, 0): 1, (1, huge): 1}), 1))
     known.append((BettiDiagram({(i, i * huge): math.comb(3, i) for i in range(4)}), 3))
@@ -228,20 +237,7 @@ def test_codimension_and_totals_match_dense_division_at_known_orders():
         assert diagram.totals() == tuple(scan["totals"])
 
 
-# -- linearity and JSON ----------------------------------------------------------
-
-
-@given(st.integers(-8, 8), st.integers(1, 9))
-def test_hilbert_numerator_linear(num, den):
-    scalar = Fraction(num, den)
-    first = BettiDiagram({(0, 0): 1, (1, 2): 3, (2, 3): 2})
-    second = BettiDiagram({(0, -1): 2, (1, 1): Fraction(1, 2), (2, 3): 5})
-    combined = first + scalar * second
-    expected = dict(first.hilbert_numerator().items())
-    for e, c in second.hilbert_numerator().items():
-        expected[e] = expected.get(e, 0) + scalar * c
-    expected = {e: c for e, c in expected.items() if c}
-    assert dict(combined.hilbert_numerator().items()) == expected
+# -- JSON ------------------------------------------------------------------------
 
 
 def test_json_round_trip_and_ordering():

@@ -241,26 +241,13 @@ def test_integer_signs_match_the_product_rule_oracle():
             assert _sign(num - floor * den) == _sign(totals[j] - floor)
 
 
-def _assert_gradients_are_the_exact_partials(p, scale, e, columns):
-    """total_j * D*G_k/L equals the product-rule partial for every k of each column given.
-
-    G_k is summed off the reciprocal table by the formula `_log_gradient` states."""
-    q, common = _log_gradient(p)
-    assert common > 0 and len(q) == len(e) + 1
-    for j in columns:
-        num, den = hk_pair(p, j)
-        for k in range(1, len(q)):
-            g = sum(q[0][k:]) - (sum(q[m][j] for m in range(k)) if k <= j else sum(q[j][k:]))
-            assert Fraction(num * scale * g, den * common) == column_total_partial(j, k, e)
-
-
 def test_every_column_gradient_is_the_exact_partial_on_grid_points():
     rng = random.Random(34)
     for _ in range(60):
         s = rng.randint(1, 8)
-        scaled = _grid_point(rng, s, 10)
-        e = tuple(Fraction(x, 64) for x in scaled)
-        _assert_gradients_are_the_exact_partials(_positions_over_64(scaled), 64, e, range(1, s + 1))
+        e = tuple(Fraction(x, 64) for x in _grid_point(rng, s, 10))
+        for j, k in product(range(1, s + 1), repeat=2):
+            assert pure_total_partial(j, k, e) == column_total_partial(j, k, e)
 
 
 def test_a_vanishing_difference_stays_out_of_the_other_columns_gradients():
@@ -274,7 +261,6 @@ def test_a_vanishing_difference_stays_out_of_the_other_columns_gradients():
             hk_pair(p, j)
         with pytest.raises(DomainError):
             pure_total_partial(j, 1, e)
-    _assert_gradients_are_the_exact_partials(p, 2, e, (1, 3))
     for j, k in product((1, 3), range(1, 5)):
         assert pure_total_partial(j, k, e) == column_total_partial(j, k, e)
 
