@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shlex
 import subprocess
@@ -77,6 +78,10 @@ FILES = {
     ),
     # projective dimension 10^6 with columns 1..10^6-1 empty
     "wide_gap": '{"entries":[{"i":0,"j":0,"value":"1"},{"i":1000000,"j":1000005,"value":"1"}]}',
+    # g_i = x_i*y for i < 19, y = x19, and x0*x1: 20 generators with linear quotients
+    "wide_lattice": json.dumps(
+        {"nvars": 20, "generators": [[int(v in (i, 19)) for v in range(20)] for i in range(19)] + [[1, 1] + [0] * 18]}
+    ),
 }
 
 COMMANDS = [
@@ -142,6 +147,8 @@ PINNED = [
     "monomial-betti --family power-of-maximal(12,1)",
     "monomial-betti --family power-of-maximal(4,2)",
     "monomial-betti --family power-of-maximal(5,2)",
+    # the lattice walk takes about 9 s here; the linear-quotient closed form prints the same table
+    "monomial-betti {wide_lattice}",
     # shape-verify finds nothing and exits 0; a violation mode exits 1 on its findings
     "scan --s-min 1 --s-max 8 --d-max 20 --mode shape-verify",
     "scan --s-min 1 --s-max 8 --d-max 20 --mode find-violations",

@@ -184,12 +184,19 @@ def _facets(ideal, m):
     ]
 
 
+@pytest.fixture
+def walk_only(monkeypatch):
+    """Make every component miss the linear-quotient search, so the LCM-lattice walk settles it."""
+    monkeypatch.setattr(monomial, "_linear_quotients", lambda gens: None)
+
+
 def test_oracle_ideals_have_strands_larger_than_their_koszul_cube():
-    # the engine trades a Taylor strand for K^m when a bound on its faces,
+    # the walk trades a Taylor strand for K^m when a bound on its faces,
     # min(2^|supp m|, sum over g | m of 2^|Phi_g|), is below the strand size
-    # and no generator divides m strictly; the oracle comparisons below cover
-    # that branch through these ideals (97 such strands, 34 of them in the
-    # equigenerated ideals; 134 more have a strict divisor and are skipped)
+    # and no generator divides m strictly; the walk-only oracle comparisons
+    # below cover that branch through these ideals (97 such strands, 34 of
+    # them in the equigenerated ideals; 134 more have a strict divisor and are
+    # skipped)
     switched = 0
     for ideal in oracle_ideals():
         for m, masks in _strands(ideal).items():
@@ -211,7 +218,7 @@ def _cap_homology_cells(monkeypatch, cap):
     monkeypatch.setattr(monomial, "_homology", bounded)
 
 
-def test_wide_support_strand_stays_on_its_taylor_strand(monkeypatch):
+def test_wide_support_strand_stays_on_its_taylor_strand(monkeypatch, walk_only):
     # a = x0..x9, b = x10..x19, c = x0*x10: the strand at m = x0..x19 is
     # {ab, abc}, two cells with no strict divisor, while c's facet of K^m has
     # 18 coordinates; K^m there would be 2^18 faces and a dense
@@ -222,7 +229,7 @@ def test_wide_support_strand_stays_on_its_taylor_strand(monkeypatch):
     assert taylor_betti(ideal) == BettiDiagram({(0, 0): 1, (1, 2): 1, (1, 10): 2, (2, 11): 2})
 
 
-def test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex(monkeypatch):
+def test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex(monkeypatch, walk_only):
     # g_i = x_1...x_k / x_i: at m = x_1...x_k the Taylor strand is every subset
     # of at least two generators, 2^k - k - 1 cells, and 2^|supp m| = 2^k is not
     # below that; but g_i falls short of m only at i, so the facets of K^m are
@@ -233,7 +240,7 @@ def test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex(monkeypatc
     assert taylor_betti(ideal).totals() == (1, k, k - 1)
 
 
-def test_koszul_cube_below_the_facet_sum_still_picks_k_m(monkeypatch):
+def test_koszul_cube_below_the_facet_sum_still_picks_k_m(monkeypatch, walk_only):
     # at m = x0^3 x1^3 x2^2 the Taylor strand has 15 cells and the six facets
     # of K^m sum to 18 faces, but 2^|supp m| = 8 bounds K^m (7 faces) below both
     _cap_homology_cells(monkeypatch, 8)
@@ -241,7 +248,7 @@ def test_koszul_cube_below_the_facet_sum_still_picks_k_m(monkeypatch):
     assert dict(taylor_betti(ideal).items()) == upper_koszul_betti(ideal)
 
 
-def test_variables_no_generator_uses_are_dropped(monkeypatch):
+def test_variables_no_generator_uses_are_dropped(monkeypatch, walk_only):
     # x_3i*x_3i+1 and x_3i+1*x_3i+2 for i < 4, in 1000 variables: each strand is
     # settled on its own component's two generators and three variables, not
     # on lcms of 1000 coordinates
@@ -286,19 +293,23 @@ def test_ideals_of_several_components_match_the_taylor_oracle():
 
 
 @pytest.mark.parametrize(
-    "nvars, uses, expected",
+    "nvars, uses, expected, walk",
     [
-        # g_i = x_0...x_19 / x_i: the top strand has 2^20 - 21 Taylor cells and a K^m of 20 points
-        (20, lambda i, v: v != i, {(0, 0): 1, (1, 19): 20, (2, 20): 19}),
+        # g_i = x_0...x_19 / x_i: the top strand has 2^20 - 21 Taylor cells and a
+        # K^m of 20 points; the ideal has linear quotients, so only the walk
+        # reaches that strand
+        (20, lambda i, v: v != i, {(0, 0): 1, (1, 19): 20, (2, 20): 19}, True),
         # x_0, ..., x_19 in 1000 variables, 980 of which no generator uses
-        (1000, lambda i, v: v == i, {(i, i): math.comb(20, i) for i in range(21)}),
+        (1000, lambda i, v: v == i, {(i, i): math.comb(20, i) for i in range(21)}, False),
         # x_5i...x_5i+4 in 100 variables: 20 one-generator components, where a
         # walk over the 2^20 subset lcms of 100 coordinates takes 25 s and 1 GB
-        (100, lambda i, v: 5 * i <= v < 5 * i + 5, {(i, 5 * i): math.comb(20, i) for i in range(21)}),
+        (100, lambda i, v: 5 * i <= v < 5 * i + 5, {(i, 5 * i): math.comb(20, i) for i in range(21)}, False),
     ],
     ids=["facets", "unused", "disjoint"],
 )
-def test_complete_intersection_of_twenty_disjoint_supports_finishes(nvars, uses, expected):
+def test_complete_intersection_of_twenty_disjoint_supports_finishes(nvars, uses, expected, walk, request):
+    if walk:
+        request.getfixturevalue("walk_only")
     gens = [[int(uses(i, v)) for v in range(nvars)] for i in range(20)]
     with time_limit(2):
         diagram = taylor_betti(minimalize(nvars, gens))
@@ -311,7 +322,7 @@ def _wide_strand_ideal(n):
     return minimalize(n + 1, gens + [[int(v in (0, 1)) for v in range(n + 1)]])
 
 
-def test_wide_strand_ideal_matches_both_oracles():
+def test_wide_strand_ideal_matches_both_oracles(walk_only):
     # at m = x_S*y with 0, 1 in S, D(m) has |S| + 1 generators but every g_i,
     # i > 1, is alone in reaching m at x_i: the strand has at most 5 cells, not a
     # subset walk over 2^(|S| + 1); x_0 is reached by g_0 and c, x_1 by g_1 and c
@@ -356,19 +367,28 @@ def _eagon_northcott(n, d):
 
 
 @pytest.mark.parametrize(
-    "n, d",
+    "n, d, walk",
     [
-        *((2, d) for d in range(1, 5)),
-        (3, 2),
-        (3, 4),
-        *((n, 1) for n in (1, *range(3, 11))),  # m itself: the Koszul complex
-        # 20 generators: the lattices have 242 and 211 elements, and the 2^20
-        # subset lcms take over a second
-        (4, 3),
-        (2, 19),
+        *(
+            pytest.param(n, d, False, id=f"{n}-{d}")
+            for n, d in [
+                *((2, d) for d in range(1, 5)),
+                (3, 2),
+                (3, 4),
+                *((n, 1) for n in (1, *range(3, 11))),  # m itself: the Koszul complex
+                (4, 3),
+                (2, 19),
+            ]
+        ),
+        # 20 generators, also on the walk: the lattices have 242 and 211
+        # elements, and the 2^20 subset lcms take over a second
+        pytest.param(4, 3, True, id="4-3-walk"),
+        pytest.param(2, 19, True, id="2-19-walk"),
     ],
 )
-def test_powers_of_the_maximal_ideal_match_eagon_northcott(n, d):
+def test_powers_of_the_maximal_ideal_match_eagon_northcott(n, d, walk, request):
+    if walk:
+        request.getfixturevalue("walk_only")
     ideal = corpus(f"power-of-maximal({n},{d})")
     with time_limit(0.5):
         diagram = taylor_betti(ideal)
@@ -384,6 +404,90 @@ def test_taylor_betti_matches_upper_koszul_oracle():
 def test_taylor_betti_matches_taylor_oracle():
     for ideal in oracle_ideals():
         assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal), ideal
+
+
+@pytest.mark.parametrize("oracle", [upper_koszul_betti, taylor_oracle_betti], ids=["upper-koszul", "taylor"])
+def test_the_walk_matches_both_oracles(oracle, walk_only):
+    for ideal in oracle_ideals():
+        assert dict(taylor_betti(ideal).items()) == oracle(ideal), ideal
+
+
+def test_the_closed_form_matches_both_oracles_on_seeded_ideals(monkeypatch):
+    # beta_{i, i-1+deg u} = sum over u of C(|set(u)|, i-1) wherever the greedy
+    # search finds a linear-quotient order; the count of ideals that took it is
+    # pinned, so a search that always misses fails here
+    found = []
+    search = monomial._linear_quotients
+
+    def recorded(gens):
+        found.append(search(gens))
+        return found[-1]
+
+    monkeypatch.setattr(monomial, "_linear_quotients", recorded)
+    rng = random.Random(11)
+    closed = 0
+    for _ in range(800):
+        ideal = random_monomial_ideal(rng)
+        found.clear()
+        diagram = dict(taylor_betti(ideal).items())
+        if found and None not in found:
+            closed += 1
+            assert diagram == upper_koszul_betti(ideal) == taylor_oracle_betti(ideal), ideal
+    assert closed == 600
+
+
+@pytest.mark.parametrize(
+    "gens, quotients",
+    [
+        # mixed degrees: x0*x1, x0^2, then the degree-3 monomials none of them divides
+        (corpus("vplusm(3,2,x0^2,x0*x1)").generators, [(2, 0), (2, 1), (3, 1), *[(3, 2)] * 4]),
+        # x_1...x_6 / x_i: each colon is generated by x_j alone, so beta = (1, 6, 5)
+        ([tuple(int(v != i) for v in range(6)) for i in range(6)], [(5, 0), *[(5, 1)] * 5]),
+        # the wide-lattice ideal: x_0*x_1, then x_i*y, set sizes 0, 1, 1, 2, ..., 18
+        (_wide_strand_ideal(19).generators, [(2, 0), (2, 1), *((2, i) for i in range(1, 19))]),
+        # (x0^2, x1^2): the colon x0^2 is no variable
+        (((2, 0), (0, 2)), None),
+        # a generator another divides, or repeats, has the colon (1)
+        (((1, 0), (1, 1), (0, 2)), None),
+        (((1, 0), (1, 0), (0, 1)), None),
+    ],
+    ids=["mixed-degree", "facets", "wide-lattice", "squares", "redundant", "repeated"],
+)
+def test_linear_quotient_search(gens, quotients):
+    assert monomial._linear_quotients(list(gens)) == quotients
+
+
+@pytest.mark.parametrize(
+    "minimal, extra",
+    [
+        (corpus("power-of-maximal(2,2)").generators, [(2, 1)]),
+        (corpus("power-of-maximal(2,2)").generators, [(1, 1)]),
+        (corpus("square-free-example(4)").generators, [(1, 1, 1, 0), (0, 0, 1, 1)]),
+        (corpus("vplusm(3,2,x0^2,x0*x1)").generators, [(2, 0, 0), (3, 0, 1)]),
+    ],
+    ids=["redundant", "repeated", "both", "mixed-degree"],
+)
+def test_a_directly_built_ideal_with_a_redundant_or_repeated_generator(minimal, extra):
+    # the closed form counts generators, so such a set must miss the search
+    nvars = len(minimal[0])
+    direct = taylor_betti(MonomialIdeal(nvars, tuple(minimal) + tuple(extra)))
+    assert direct == taylor_betti(minimalize(nvars, minimal))
+    assert direct == BettiDiagram(upper_koszul_betti(minimalize(nvars, minimal)))
+
+
+def test_wide_lattice_ideal_takes_the_closed_form():
+    # g_i = x_i*y for i < 19, and x_0*x_1: 20 generators whose lattice walk
+    # takes about 9 s and 220 MB; in the order x_0*x_1, x_0*y, x_1*y, ...,
+    # x_18*y the set sizes are 0, 1, 1, 2, ..., 18
+    with time_limit(1):
+        diagram = taylor_betti(_wide_strand_ideal(19))
+    sizes = [0, 1, *range(1, 19)]
+    expected = {(0, 0): 1}
+    for i in range(1, 21):
+        expected[i, i + 1] = sum(math.comb(size, i - 1) for size in sizes)
+    assert diagram == BettiDiagram(expected)
+    assert diagram.totals()[:4] == (1, 20, 172, 969)
+    assert diagram.totals()[-4:] == (969, 171, 19, 1)
 
 
 def test_column_zero_and_generator_count():
@@ -488,7 +592,7 @@ def test_strands_with_a_strict_divisor_carry_no_homology():
     assert skipped >= 300
 
 
-def test_rank_calls_on_the_corpus_families(monkeypatch):
+def test_rank_calls_on_the_corpus_families(monkeypatch, walk_only):
     # strands with a strict divisor take no rank; a rule that skips fewer
     # strands can give the same diagrams, and these counts show it
     calls = Counter()

@@ -1,0 +1,152 @@
+"""Apply each listed mutant to a copy of the library and require its named tests to fail.
+
+    python3 tools/mutants.py
+
+Run from anywhere; paths are taken from this file's checkout.  A mutant is
+(file under src/bettibounds, old snippet, new snippet, test node ids).  Every
+old snippet must occur exactly once in its file, or nothing runs and the exit
+code is 2.  For each mutant, src/ is copied to a temporary directory, the one
+replacement is made there, and pytest runs the named tests against the copy.
+The mutant is killed when every named test fails.  The exit code is 1 if any
+mutant survives, else 0.  Standard library only, besides pytest itself.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ElementTree
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MONOMIAL_TESTS = "tests/test_monomial.py::"
+
+MUTANTS = [
+    # |set(u)| off by one
+    (
+        "monomial.py",
+        "quotients.append((degree, variables.bit_count()))",
+        "quotients.append((degree, variables.bit_count() + 1))",
+        [
+            MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
+            MONOMIAL_TESTS + "test_linear_quotient_search[mixed-degree]",
+            MONOMIAL_TESTS + "test_wide_lattice_ideal_takes_the_closed_form",
+        ],
+    ),
+    # the closed form's shift i instead of i - 1
+    (
+        "monomial.py",
+        "betti[i + 1, i + degree] = betti.get((i + 1, i + degree), 0)",
+        "betti[i + 1, i + 1 + degree] = betti.get((i + 1, i + 1 + degree), 0)",
+        [
+            MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
+            MONOMIAL_TESTS + "test_wide_lattice_ideal_takes_the_closed_form",
+        ],
+    ),
+    # a colon test that takes a power x_k^2 of a variable for a variable
+    (
+        "monomial.py",
+        "if w & (w - 1) or not w & units:",
+        "if w & (w - 1):",
+        [
+            MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
+            MONOMIAL_TESTS + "test_linear_quotient_search[squares]",
+        ],
+    ),
+    # the K^m shift 1 -> 0
+    (
+        "monomial.py",
+        "return _homology(_upper_koszul_faces(facets)), 1",
+        "return _homology(_upper_koszul_faces(facets)), 0",
+        [
+            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[upper-koszul]",
+            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[taylor]",
+            MONOMIAL_TESTS + "test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex",
+        ],
+    ),
+    # K^m never taken: the Taylor strand of 2^20 - 21 cells runs out of time
+    (
+        "monomial.py",
+        "if faces < count:",
+        "if faces < 0:",
+        [MONOMIAL_TESTS + "test_complete_intersection_of_twenty_disjoint_supports_finishes[facets]"],
+    ),
+    # the new generator's bit left out of the union D(m)
+    (
+        "monomial.py",
+        "lattice[join] = (old_count + count, old_union | union | 1 << bit)",
+        "lattice[join] = (old_count + count, old_union | union)",
+        [
+            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[upper-koszul]",
+            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[taylor]",
+        ],
+    ),
+    # the components' Betti polynomials summed, not multiplied
+    (
+        "monomial.py",
+        "product.get((i + k, j + d), 0) + a * b",
+        "product.get((i + k, j + d), 0) + a + b",
+        [
+            MONOMIAL_TESTS + "test_ideals_of_several_components_match_the_taylor_oracle",
+            MONOMIAL_TESTS + "test_complete_intersection_of_twenty_disjoint_supports_finishes[unused]",
+        ],
+    ),
+]
+
+
+def check_snippets() -> list[str]:
+    """One message per mutant whose old snippet does not occur exactly once."""
+    problems = []
+    for name, old, _, _ in MUTANTS:
+        count = (ROOT / "src" / "bettibounds" / name).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{name}: {old!r} occurs {count} times, not once")
+    return problems
+
+
+def survivors(name: str, old: str, new: str, tests: list[str]) -> list[str]:
+    """The named tests that do not fail with the mutant applied."""
+    with tempfile.TemporaryDirectory() as scratch:
+        src = Path(scratch) / "src"
+        shutil.copytree(ROOT / "src", src)
+        path = src / "bettibounds" / name
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        report = Path(scratch) / "report.xml"
+        command = [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-o", f"pythonpath={src}", f"--junitxml={report}", *tests,
+        ]
+        subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+        failed = set()
+        ran = 0
+        if report.is_file():
+            for case in ElementTree.parse(report).iter("testcase"):
+                ran += 1
+                if case.find("failure") is not None or case.find("error") is not None:
+                    failed.add(case.get("name"))
+    if ran != len(tests):
+        return [f"{len(tests)} tests named, {ran} ran"]
+    return [test for test in tests if test.split("::")[-1] not in failed]
+
+
+def main() -> int:
+    problems = check_snippets()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    survived = 0
+    for name, old, new, tests in MUTANTS:
+        alive = survivors(name, old, new, tests)
+        survived += bool(alive)
+        print(f"{'SURVIVED' if alive else 'killed'}: {name}: {old!r} -> {new!r}")
+        for test in alive:
+            print(f"    not failing: {test}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
