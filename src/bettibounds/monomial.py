@@ -19,8 +19,24 @@ miss, including a generator that another divides or repeats, costs only speed
 and falls through to the lattice walk below.
 
 Otherwise only the elements m of the LCM lattice carry Betti numbers.  The
-lattice is grown by join closure, r joins per element for r generators: each
-m keeps the number of generator subsets with lcm m (the cells of the
+walk runs on a compressed polarization of the component (Herzog-Hibi,
+Monomial Ideals, Sec. 1.6): variable k gets a field of one bit per distinct
+nonzero exponent it has among the generators, then a zero guard bit, and its
+j-th smallest exponent is coded as the field's lowest j bits.  Proof that
+the walk may run on codes: the map from exponents to bit runs keeps their
+order, and the run of max(a, b) is the longer of the two runs, which is
+their or; so code(lcm(a, b)) = code(a) | code(b), and g divides m exactly
+when code(g) & ~code(m) == 0.  Each lcm of generators takes, at each k, the
+exponent of some generator, so it has a code, and a run's length gives back
+its exponent: the map is one-to-one on the LCM lattice.  In the code of m,
+top = m & ~(m >> 1) holds the top bit of the field of each k in supp m (the
+guard keeps the next field out), and for g dividing m, g holds that bit
+exactly when g_k = m_k.  So top & ~g is the facet Phi_g below, with variable
+k relabelled as its field's top bit; the relabelling keeps the order of the
+variables, so every facet, face order and boundary sign is kept.
+
+The lattice is grown by join closure, r joins per element for r generators:
+each m keeps the number of generator subsets with lcm m (the cells of the
 m-strand of the Taylor complex tensored with the field, whose homology at
 position i is beta_{i,m}) and their union, which is D(m), the generators
 dividing m.  Each strand is settled from the facets
@@ -201,28 +217,26 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-def _settle(multidegree, count, union, gens):
+def _settle(top, count, union, codes):
     """(homology {level: count}, shift) of the m-strand, or None if it is acyclic.
 
-    The strand's cells are the `count` subsets of gens with lcm m, and
-    `union`, the bitmask of their union, is D(m): every generator dividing m.
+    The strand's cells are the `count` subsets of the generators with lcm m,
+    and `union`, the bitmask of their union, is D(m): every generator dividing
+    m.  `codes` are the generators' compressed polarizations and `top` holds
+    one bit per variable of supp m, the top bit of its field in the code of m.
+    A generator g dividing m holds that bit exactly when g_k = m_k, so its
+    facet Phi_g = {k : g_k < m_k} of K^m is `top & ~g`.
     """
     if count == 1:
         return {union.bit_count(): 1}, 0  # a lone cell, D(m) itself, has no boundary
-    support = sum(1 << k for k, b in enumerate(multidegree) if b)
-    # each generator g dividing m has its facet Phi_g = {k : g_k < m_k} of K^m
-    facets = []
-    for bit, g in enumerate(gens):
-        if union >> bit & 1:
-            facet = sum(1 << k for k, (a, b) in enumerate(zip(g, multidegree)) if a < b)
-            if facet == support:
-                return None  # a strict divisor: K^m is the full simplex on supp m
-            facets.append(facet)
-    faces = min(1 << support.bit_count(), sum(1 << facet.bit_count() for facet in facets))
+    facets = [top & ~g for bit, g in enumerate(codes) if union >> bit & 1]
+    if top in facets:
+        return None  # a strict divisor: K^m is the full simplex on supp m
+    faces = min(1 << top.bit_count(), sum(1 << facet.bit_count() for facet in facets))
     if faces < count:
         # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
         return _homology(_upper_koszul_faces(facets)), 1
-    return _homology(_taylor_cells(support, union, facets)), 0
+    return _homology(_taylor_cells(top, union, facets)), 0
 
 
 def _taylor_cells(support, union, facets) -> list[int]:
@@ -295,14 +309,45 @@ def _linear_quotients(gens) -> list[tuple[int, int]] | None:
     return quotients
 
 
+def _polarization(gens):
+    """(codes, total_degree): the compressed polarization of one component's generators.
+
+    Variable k gets a field of one bit per distinct nonzero exponent it has
+    among the generators, then a zero guard bit, and its j-th smallest
+    exponent is coded as the field's lowest j bits; a generator's code is
+    the or of its fields.  total_degree(m) is the degree of the monomial
+    whose code is m, read off each field's popcount.
+    """
+    codes = [0] * len(gens)
+    fields = []  # (offset, field mask, [0, then the field's exponents in increasing order])
+    offset = 0
+    for column in zip(*gens):
+        values = sorted(set(column) - {0})
+        runs = {e: ((1 << j) - 1) << offset for j, e in enumerate(values, 1)}
+        runs[0] = 0
+        for n, e in enumerate(column):
+            codes[n] |= runs[e]
+        fields.append((offset, (1 << len(values)) - 1, [0, *values]))
+        offset += len(values) + 1
+
+    def total_degree(m):
+        return sum(values[(m >> offset & mask).bit_count()] for offset, mask, values in fields)
+
+    return codes, total_degree
+
+
 def _component_betti(gens) -> dict[tuple[int, int], int]:
     """{(level, degree): count} of the quotient by the generators of one component.
 
     With linear quotients, beta_{i, i-1+deg u} = sum over u of C(|set(u)|, i-1)
     (Herzog-Takayama 2002).  Otherwise the LCM lattice is grown by join
-    closure: each element m keeps the number of generator subsets with lcm m
+    closure on the generators' compressed polarizations, where lcm(m, g) is
+    m | g: each element m keeps the number of generator subsets with lcm m
     and the union of those subsets, and adding generator b adds every subset
-    so far, with b, at lcm(m, g_b).
+    so far, with b, at m | g_b.  An order-preserving map of exponents to bit
+    runs turns max into |, so it is one-to-one on the LCM lattice and keeps
+    every facet; each m is settled from `m & ~(m >> 1)`, one bit per variable
+    of its support, and its degree is read off each field's popcount.
     """
     if (quotients := _linear_quotients(gens)) is not None:
         betti = {(0, 0): 1}
@@ -310,18 +355,19 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
             for i in range(size + 1):
                 betti[i + 1, i + degree] = betti.get((i + 1, i + degree), 0) + math.comb(size, i)
         return betti
-    lattice = {(0,) * len(gens[0]): (1, 0)}
-    for bit, g in enumerate(gens):
+    codes, total_degree = _polarization(gens)
+    lattice = {0: (1, 0)}
+    for bit, g in enumerate(codes):
         for m, (count, union) in list(lattice.items()):
-            join = tuple(map(max, m, g))
+            join = m | g
             old_count, old_union = lattice.get(join, (0, 0))
             lattice[join] = (old_count + count, old_union | union | 1 << bit)
     betti: dict[tuple[int, int], int] = {}
-    for multidegree, (count, union) in lattice.items():
-        if (settled := _settle(multidegree, count, union, gens)) is None:
+    for m, (count, union) in lattice.items():
+        if (settled := _settle(m & ~(m >> 1), count, union, codes)) is None:
             continue
         homology, shift = settled
-        degree = sum(multidegree)
+        degree = total_degree(m)
         for level, dim in homology.items():
             if dim:
                 key = (level + shift, degree)

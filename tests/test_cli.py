@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bettibounds
 from bettibounds import BettiDiagram
 from bettibounds.cli import main
 
@@ -437,7 +438,8 @@ def _run_into(stdout, *argv):
     Its stdout is block-buffered, as a pipe or a file is by default, so a
     failed write can surface as late as the interpreter's flush at exit.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # the new process imports the same copy of the library as this one
+    env = {**os.environ, "PYTHONPATH": str(Path(bettibounds.__file__).resolve().parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
     command = [sys.executable, "-m", "bettibounds", *argv]
     return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60)

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+import bettibounds
 from bettibounds.cli import build_parser, main
 
 from helpers import pure_sum
@@ -226,7 +227,9 @@ def test_the_transcript_does_not_depend_on_the_hash_seed(tmp_path, seed):
     # with PYTHONHASHSEED; no output may follow them
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONHASHSEED": seed}
-    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    # the new process imports the same copy of the library as this one
+    library = Path(bettibounds.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join([str(library), str(here)])
     script = (
         "import sys; from pathlib import Path; from test_cli_golden import transcript; "
         "sys.stdout.write(''.join(transcript(Path(sys.argv[1]))))"

@@ -4,7 +4,9 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
 import pytest
 
@@ -251,20 +253,49 @@ def test_koszul_cube_below_the_facet_sum_still_picks_k_m(monkeypatch, walk_only)
 def test_variables_no_generator_uses_are_dropped(monkeypatch, walk_only):
     # x_3i*x_3i+1 and x_3i+1*x_3i+2 for i < 4, in 1000 variables: each strand is
     # settled on its own component's two generators and three variables, not
-    # on lcms of 1000 coordinates
+    # on lcms of 1000 coordinates; each variable's field is one exponent bit
+    # and a guard, so the codes span three fields, 5 bits below the last guard
     original = monomial._settle
     shapes = set()
 
-    def recorded(multidegree, count, union, gens):
-        shapes.add((len(multidegree), len(gens)))
-        return original(multidegree, count, union, gens)
+    def recorded(top, count, union, codes):
+        everything = reduce(or_, codes)
+        shapes.add((len(codes), (everything & ~(everything >> 1)).bit_count(), everything.bit_length()))
+        return original(top, count, union, codes)
 
     monkeypatch.setattr(monomial, "_settle", recorded)
     n = 1000
     gens = [[int(v in (3 * i + s, 3 * i + s + 1)) for v in range(n)] for i in range(4) for s in (0, 1)]
     ideal = minimalize(n, gens)
     assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal)
-    assert shapes == {(3, 2)}
+    assert shapes == {(2, 3, 5)}
+
+
+GAPPED = (0, 1, 3, 7, 10**6)
+
+
+def test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree():
+    # code(a) | code(b) is the code of lcm(a, b), g divides m exactly when
+    # code(g) & ~code(m) == 0, m & ~(m >> 1) has one bit in the field of each
+    # variable of supp m, and the degree decode gives the total degree
+    rng = random.Random(4242)
+    for _ in range(400):
+        nvars = rng.randint(1, 8)
+        a, b = (tuple(rng.choice(GAPPED) for _ in range(nvars)) for _ in range(2))
+        gcd, lcm = tuple(map(min, a, b)), tuple(map(max, a, b))
+        vectors = [a, b, gcd, lcm]
+        # lcm_k at coordinate k alone: the code of that is the run of field k
+        fields = [tuple(x if v == k else 0 for v, x in enumerate(lcm)) for k in range(nvars)]
+        codes, total_degree = monomial._polarization(vectors + fields)
+        assert codes[0] | codes[1] == codes[3]
+        for g, code_g in zip(vectors, codes):
+            for m, code_m in zip(vectors, codes):
+                assert (code_g & ~code_m == 0) == all(x <= y for x, y in zip(g, m)), (g, m)
+        for m, code in zip(vectors, codes):
+            top = code & ~(code >> 1)
+            assert [(top & run).bit_count() for run in codes[4:]] == [int(x > 0) for x in m]
+            assert top.bit_count() == sum(1 for x in m if x)
+            assert total_degree(code) == sum(m)
 
 
 def _disjoint_union(rng, parts):
@@ -406,9 +437,25 @@ def test_taylor_betti_matches_taylor_oracle():
         assert dict(taylor_betti(ideal).items()) == taylor_oracle_betti(ideal), ideal
 
 
+def gapped_ideals():
+    """Seeded ideals whose exponents have gaps, such as 3, 7 and 10**6 without 2.
+
+    random_monomial_ideal draws exponents up to 3; an order-preserving map
+    onto 0 and three of 1, 3, 7, 10**6 keeps each ideal minimal and the shape
+    of its LCM lattice.
+    """
+    rng = random.Random(777)
+    ideals = []
+    for _ in range(120):
+        ideal = random_monomial_ideal(rng)
+        scale = (0, *sorted(rng.sample(GAPPED[1:], 3)))
+        ideals.append(minimalize(ideal.nvars, [tuple(scale[x] for x in g) for g in ideal.generators]))
+    return ideals
+
+
 @pytest.mark.parametrize("oracle", [upper_koszul_betti, taylor_oracle_betti], ids=["upper-koszul", "taylor"])
 def test_the_walk_matches_both_oracles(oracle, walk_only):
-    for ideal in oracle_ideals():
+    for ideal in oracle_ideals() + gapped_ideals():
         assert dict(taylor_betti(ideal).items()) == oracle(ideal), ideal
 
 

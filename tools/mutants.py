@@ -23,6 +23,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 MONOMIAL_TESTS = "tests/test_monomial.py::"
+PURE_TESTS = "tests/test_pure.py::"
+WALK_TESTS = [
+    MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[upper-koszul]",
+    MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[taylor]",
+]
+SWEEP_TESTS = [PURE_TESTS + "test_gradient_sweeps_report_the_rows_of_separate_loops"]
 
 MUTANTS = [
     # |set(u)| off by one
@@ -61,11 +67,7 @@ MUTANTS = [
         "monomial.py",
         "return _homology(_upper_koszul_faces(facets)), 1",
         "return _homology(_upper_koszul_faces(facets)), 0",
-        [
-            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[upper-koszul]",
-            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[taylor]",
-            MONOMIAL_TESTS + "test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex",
-        ],
+        [*WALK_TESTS, MONOMIAL_TESTS + "test_wide_strand_with_small_facets_is_taken_on_its_koszul_complex"],
     ),
     # K^m never taken: the Taylor strand of 2^20 - 21 cells runs out of time
     (
@@ -79,10 +81,7 @@ MUTANTS = [
         "monomial.py",
         "lattice[join] = (old_count + count, old_union | union | 1 << bit)",
         "lattice[join] = (old_count + count, old_union | union)",
-        [
-            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[upper-koszul]",
-            MONOMIAL_TESTS + "test_the_walk_matches_both_oracles[taylor]",
-        ],
+        WALK_TESTS,
     ),
     # the components' Betti polynomials summed, not multiplied
     (
@@ -93,6 +92,67 @@ MUTANTS = [
             MONOMIAL_TESTS + "test_ideals_of_several_components_match_the_taylor_oracle",
             MONOMIAL_TESTS + "test_complete_intersection_of_twenty_disjoint_supports_finishes[unused]",
         ],
+    ),
+    # the polarization's guard bit dropped: a full field runs into the next one
+    (
+        "monomial.py",
+        "offset += len(values) + 1",
+        "offset += len(values)",
+        [MONOMIAL_TESTS + "test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree", *WALK_TESTS],
+    ),
+    # top taken as the code of m itself: that settles m in the polarized ideal,
+    # whose diagram is the same, but no strict divisor is ever found and the
+    # face bound 2^|top| grows: more rank calls, and (2,19) takes minutes
+    (
+        "monomial.py",
+        "_settle(m & ~(m >> 1), count, union, codes)",
+        "_settle(m, count, union, codes)",
+        [
+            MONOMIAL_TESTS + "test_rank_calls_on_the_corpus_families",
+            MONOMIAL_TESTS + "test_koszul_cube_below_the_facet_sum_still_picks_k_m",
+            MONOMIAL_TESTS + "test_powers_of_the_maximal_ideal_match_eagon_northcott[2-19-walk]",
+        ],
+    ),
+    # a one-hot code for the j-th exponent, so that | is no longer max
+    (
+        "monomial.py",
+        "runs = {e: ((1 << j) - 1) << offset",
+        "runs = {e: (1 << (j - 1)) << offset",
+        [MONOMIAL_TESTS + "test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree", *WALK_TESTS],
+    ),
+    # the k < j gradient sum starting at i = k + 1: the row read before term k is added
+    (
+        "pure.py",
+        """                g -= lead[k] + q[k][j]
+                if g > 0:
+                    inward.append(_gradient_violation(x, p, j, k, g, common))
+""",
+        """                if g > 0:
+                    inward.append(_gradient_violation(x, p, j, k, g, common))
+                g -= lead[k] + q[k][j]
+""",
+        SWEEP_TESTS,
+    ),
+    # q[0][i] + q[j][i] in the k > j + 1 sum
+    (
+        "pure.py",
+        "g += lead[k - 1] - row[k - 1]",
+        "g += lead[k - 1] + row[k - 1]",
+        SWEEP_TESTS,
+    ),
+    # the first gap read as sum q[0] - q[0][1] in every column
+    (
+        "pure.py",
+        "if (g := lead_sum - lead[j]) < 0:",
+        "if (g := lead_sum - lead[1]) < 0:",
+        SWEEP_TESTS,
+    ),
+    # one random bit too many in the sampler, which moves every seeded point
+    (
+        "pure.py",
+        "k = n.bit_length()\n",
+        "k = n.bit_length() + 1\n",
+        [PURE_TESTS + "test_both_gradient_lemmas_take_one_log_gradient_per_sampled_point"],
     ),
 ]
 
