@@ -7,42 +7,45 @@ resolution of their tensor product S/(J + K), and the graded Betti
 polynomials sum beta_{i,j} u^i t^j of the components multiply.  Variables
 that no generator uses are in no component.
 
-A component with linear quotients is settled in closed form.  Its minimal
-generators then have an order u_1, ..., u_r of nondecreasing degree in which
-each colon (u_1, ..., u_{j-1}) : u_j is generated by a set of variables,
-set(u_j), and beta_{i, i-1+deg u} = sum over u of C(|set(u)|, i-1)
-(Herzog-Takayama, Resolutions by mapping cones, 2002).  Powers of the maximal
-ideal, square-free strongly stable ideals and polymatroidal ideals, whose
-products stay polymatroidal (Conca-Herzog 2003), all have linear quotients.
-The order is searched greedily, one degree at a time and per component; a
-miss, including a generator that another divides or repeats, costs only speed
-and falls through to the lattice walk below.
-
-Otherwise only the elements m of the LCM lattice carry Betti numbers.  The
-walk runs on a compressed polarization of the component (Herzog-Hibi,
+Each component is coded once as a compressed polarization (Herzog-Hibi,
 Monomial Ideals, Sec. 1.6): variable k gets a field of one bit per distinct
 nonzero exponent it has among the generators, then a zero guard bit, and its
-j-th smallest exponent is coded as the field's lowest j bits.  Proof that
-the walk may run on codes: the map from exponents to bit runs keeps their
-order, and the run of max(a, b) is the longer of the two runs, which is
-their or; so code(lcm(a, b)) = code(a) | code(b), and g divides m exactly
-when code(g) & ~code(m) == 0.  Each lcm of generators takes, at each k, the
-exponent of some generator, so it has a code, and a run's length gives back
-its exponent: the map is one-to-one on the LCM lattice.  In the code of m,
-top = m & ~(m >> 1) holds the top bit of the field of each k in supp m (the
-guard keeps the next field out), and for g dividing m, g holds that bit
-exactly when g_k = m_k.  So top & ~g is the facet Phi_g below, with variable
-k relabelled as its field's top bit; the relabelling keeps the order of the
-variables, so every facet, face order and boundary sign is kept.
+j-th smallest exponent is coded as the field's lowest j bits.  The map keeps
+the order of exponents and the run of max(a, b) is the or of the two runs, so
+code(lcm(a, b)) = code(a) | code(b) and g divides m exactly when
+code(g) & ~code(m) == 0.  Each lcm of generators takes, at each k, some
+generator's exponent, and a run's length gives it back.
 
-The lattice is grown by join closure, r joins per element for r generators:
-each m keeps the number of generator subsets with lcm m (the cells of the
-m-strand of the Taylor complex tensored with the field, whose homology at
-position i is beta_{i,m}) and their union, which is D(m), the generators
-dividing m.  Each strand is settled from the facets
-Phi_g = {k : g_k < m_k}, g in D(m), of the upper Koszul complex
-K^m = {F subset of supp m : x^(m - F) in I}; beta_{i,m} = dim reduced
-H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34):
+The closed form takes four steps.  (1) So the codes are an isomorphism of LCM
+lattices.  (2) The square-free ideal of the codes then has the same
+multigraded Betti numbers, beta_{i,m} = beta_{i,code(m)} (Gasharov-Peeva-
+Welker, The lcm-lattice in monomial resolutions, 1999).  (3) If the codes
+have an order of nondecreasing popcount in which each colon
+(u_1, ..., u_{j-1}) : u_j is generated by a set of bits, set(u_j), a minimal
+resolution has one basis element in multidegree u * x_F at level |F| + 1 for
+each u and F in set(u) (Herzog-Takayama, Resolutions by mapping cones, 2002).
+(4) A bit b is in set(u) only when v & ~u = b for an earlier v, so b is the
+next bit above u's run in its field: the bits of set(u) lie in distinct
+fields, and u * x_F has degree deg u + sum over b in F of
+delta_b = deg(u | b) - deg u.  So u adds s t^(deg u) prod over b in set(u) of
+(1 + s t^delta_b) to the Betti polynomial of S/I: C(|set(u)|, i-1) at
+(i, i-1+deg u) when every delta_b = 1.  Every ideal in two variables
+qualifies.  A miss of the greedy search, as for a generator that another
+divides or repeats, costs only speed.
+
+Otherwise only the elements m of the LCM lattice carry Betti numbers.  In the
+code of m, top = m & ~(m >> 1) holds the top bit of the field of each k in
+supp m (the guard keeps the next field out), and g | m holds it exactly when
+g_k = m_k: top & ~g is the facet Phi_g below, with k relabelled as that bit,
+in order, so every facet, face order and boundary sign is kept.  The lattice
+is grown by join closure, r joins per element for r generators: each m keeps
+the number of generator subsets with lcm m (the cells of the m-strand of the
+Taylor complex tensored with the field, whose homology at position i is
+beta_{i,m}) and their union, which is D(m), the generators dividing m.  Each
+strand is settled from the facets Phi_g = {k : g_k < m_k}, g in D(m), of the
+upper Koszul complex K^m = {F subset of supp m : x^(m - F) in I};
+beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
+Commutative Algebra, Thm 1.34):
 
 * a strand of one cell, D(m) itself, has no boundary and gives beta = 1 at
   its size;
@@ -67,7 +70,6 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, islice
-from operator import lshift
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .diagram import BettiDiagram, load_json
@@ -262,61 +264,42 @@ def _taylor_cells(support, union, facets) -> list[int]:
     return [cell for cell, cover in cells if cover == support]
 
 
-def _linear_quotients(gens) -> list[tuple[int, int]] | None:
-    """(deg u, |set(u)|) for each generator u in a linear-quotient order, or None on a miss.
+def _linear_quotients(codes) -> list[tuple[int, int]] | None:
+    """(u, set(u)) for each code u in a linear-quotient order, or None on a miss.
 
-    The order is searched greedily, lowest degree first: the next generator is
-    the first remaining one of the lowest remaining degree whose colon
-    (u_1, ..., u_{j-1}) : u_j is generated by variables.  That colon is
-    generated by the w_i = u_i / gcd(u_i, u_j), i < j, and by variables exactly
-    when every w_i is divisible by some w_k that is a single variable; set(u_j)
-    is the set of those variables.  A generator that an earlier one divides or
-    repeats has w_i = 1, which no variable divides, so it is a miss.
-
-    Each exponent vector is packed into one integer, a field of `width` bits
-    per variable whose top bit is a guard, so each w_i takes a few integer
-    operations and a set of variables is the bitmask of their unit fields.
+    The next code is the first one left of the lowest popcount left whose
+    colon (u_1, ..., u_{j-1}) : u_j, generated by the w_i = u_i & ~u_j, is
+    generated by bits: every w_i shares a bit with some w_k of one bit, the
+    bitmask set(u_j).  A code an earlier one divides or repeats has w_i = 0.
     """
-    width = max(map(max, gens)).bit_length() + 1
-    shifts = range(0, width * len(gens[0]), width)
-    units = sum(1 << shift for shift in shifts)  # x_k is the unit of field k
-    guards = units << (width - 1)
-    field = (1 << width) - 1
-    pending = sorted((sum(g), sum(map(lshift, g, shifts))) for g in gens)
+    pending = sorted((u.bit_count(), u) for u in codes)
     placed, quotients = [], []
     while pending:
-        for pos, (degree, u) in enumerate(pending):
-            if degree > pending[0][0]:
+        for pos, (size, u) in enumerate(pending):
+            if size > pending[0][0]:
                 return None
             variables, others = 0, []
             for v in placed:
-                # field k holds guard + v_k - u_k, which keeps its guard iff v_k >= u_k
-                t = (v | guards) - u
-                kept = t & guards
-                w = t & (kept - (kept >> (width - 1)))  # v / gcd(v, u)
-                if w & (w - 1) or not w & units:
-                    others.append(w)
-                else:
+                w = v & ~u
+                if w and not w & (w - 1):
                     variables |= w
-            cover = variables * field  # every field of those variables
-            if all(w & cover for w in others):
+                else:
+                    others.append(w)
+            if all(w & variables for w in others):
                 break
         else:
             return None
         del pending[pos]
         placed.append(u)
-        quotients.append((degree, variables.bit_count()))
+        quotients.append((u, variables))
     return quotients
 
 
 def _polarization(gens):
     """(codes, total_degree): the compressed polarization of one component's generators.
 
-    Variable k gets a field of one bit per distinct nonzero exponent it has
-    among the generators, then a zero guard bit, and its j-th smallest
-    exponent is coded as the field's lowest j bits; a generator's code is
-    the or of its fields.  total_degree(m) is the degree of the monomial
-    whose code is m, read off each field's popcount.
+    total_degree(m) is the degree of the monomial whose code is m, read off
+    each field's popcount.
     """
     codes = [0] * len(gens)
     fields = []  # (offset, field mask, [0, then the field's exponents in increasing order])
@@ -339,23 +322,38 @@ def _polarization(gens):
 def _component_betti(gens) -> dict[tuple[int, int], int]:
     """{(level, degree): count} of the quotient by the generators of one component.
 
-    With linear quotients, beta_{i, i-1+deg u} = sum over u of C(|set(u)|, i-1)
-    (Herzog-Takayama 2002).  Otherwise the LCM lattice is grown by join
-    closure on the generators' compressed polarizations, where lcm(m, g) is
-    m | g: each element m keeps the number of generator subsets with lcm m
-    and the union of those subsets, and adding generator b adds every subset
-    so far, with b, at m | g_b.  An order-preserving map of exponents to bit
-    runs turns max into |, so it is one-to-one on the LCM lattice and keeps
-    every facet; each m is settled from `m & ~(m >> 1)`, one bit per variable
-    of its support, and its degree is read off each field's popcount.
+    Closed form, in four steps: the codes are an LCM-lattice isomorphism, so
+    their ideal has the same multigraded Betti numbers (Gasharov-Peeva-Welker
+    1999); with linear quotients in popcount order, u * x_F, F in set(u), sits
+    at level |F| + 1 (Herzog-Takayama 2002); and its degree is deg u plus
+    each delta_b of F.  Otherwise each m of the LCM lattice, grown by join
+    closure on the codes, keeps the number and union of the generator subsets
+    with lcm m, and is settled from `m & ~(m >> 1)`.
     """
-    if (quotients := _linear_quotients(gens)) is not None:
-        betti = {(0, 0): 1}
-        for degree, size in quotients:
-            for i in range(size + 1):
-                betti[i + 1, i + degree] = betti.get((i + 1, i + degree), 0) + math.comb(size, i)
-        return betti
     codes, total_degree = _polarization(gens)
+    if (quotients := _linear_quotients(codes)) is not None:
+        betti = {(0, 0): 1}
+        steps = {}  # delta_b depends on b alone: the step between two exponents of its field
+        for u, variables in quotients:
+            degree = total_degree(u)
+            counts = {}  # how many bits of set(u) have each delta_b
+            while variables:
+                b = variables & -variables
+                variables ^= b
+                if b not in steps:
+                    steps[b] = total_degree(u | b) - degree
+                counts[steps[b]] = counts.get(steps[b], 0) + 1
+            terms = {(1, degree): 1}  # u * x_F at level |F| + 1
+            for delta, n in counts.items():  # times (1 + s t^delta)^n
+                product = {}
+                for (i, j), c in terms.items():
+                    for k in range(n + 1):
+                        key = (i + k, j + k * delta)
+                        product[key] = product.get(key, 0) + c * math.comb(n, k)
+                terms = product
+            for key, c in terms.items():
+                betti[key] = betti.get(key, 0) + c
+        return betti
     lattice = {0: (1, 0)}
     for bit, g in enumerate(codes):
         for m, (count, union) in list(lattice.items()):
@@ -378,10 +376,12 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
 def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     """Betti diagram of the quotient by a monomial ideal (characteristic zero).
 
-    Each variable-disjoint component is settled in closed form when a greedy
-    search finds a linear-quotient order of its generators (Herzog-Takayama
-    2002), and by the walk over its LCM lattice when the search misses.  At
-    most MAX_GENERATORS generators are taken either way.
+    Each variable-disjoint component is coded as a compressed polarization,
+    an LCM-lattice isomorphism, so its code ideal has the same multigraded
+    Betti numbers (Gasharov-Peeva-Welker 1999).  With linear quotients of the
+    codes in popcount order it is settled in closed form (Herzog-Takayama
+    2002), u * x_F in degree deg u plus each delta_b of F; otherwise by the
+    walk over its LCM lattice.  At most MAX_GENERATORS generators either way.
     """
     _check_generator_count(len(ideal.generators))
     if not all(any(g) for g in ideal.generators):

@@ -189,7 +189,7 @@ def _facets(ideal, m):
 @pytest.fixture
 def walk_only(monkeypatch):
     """Make every component miss the linear-quotient search, so the LCM-lattice walk settles it."""
-    monkeypatch.setattr(monomial, "_linear_quotients", lambda gens: None)
+    monkeypatch.setattr(monomial, "_linear_quotients", lambda codes: None)
 
 
 def test_oracle_ideals_have_strands_larger_than_their_koszul_cube():
@@ -460,48 +460,103 @@ def test_the_walk_matches_both_oracles(oracle, walk_only):
 
 
 def test_the_closed_form_matches_both_oracles_on_seeded_ideals(monkeypatch):
-    # beta_{i, i-1+deg u} = sum over u of C(|set(u)|, i-1) wherever the greedy
-    # search finds a linear-quotient order; the count of ideals that took it is
-    # pinned, so a search that always misses fails here
+    # beta_{i, deg(u * x_F)} counts each u and F in set(u) at i = |F| + 1
+    # wherever the greedy search finds a linear-quotient order of the codes,
+    # gapped exponents included; the count of ideals that took it is pinned,
+    # so a search that always misses fails here (a search on the exponents,
+    # which gaps defeat, settles 649 of these 920 ideals)
     found = []
     search = monomial._linear_quotients
 
-    def recorded(gens):
-        found.append(search(gens))
+    def recorded(codes):
+        found.append(search(codes))
         return found[-1]
 
     monkeypatch.setattr(monomial, "_linear_quotients", recorded)
     rng = random.Random(11)
     closed = 0
-    for _ in range(800):
-        ideal = random_monomial_ideal(rng)
+    for ideal in [random_monomial_ideal(rng) for _ in range(800)] + gapped_ideals():
         found.clear()
         diagram = dict(taylor_betti(ideal).items())
         if found and None not in found:
             closed += 1
             assert diagram == upper_koszul_betti(ideal) == taylor_oracle_betti(ideal), ideal
-    assert closed == 600
+    assert closed == 763
+
+
+def _squarefree(nvars, *support):
+    return tuple(int(v in support) for v in range(nvars))
+
+
+def _but(nvars, i):
+    """x_0...x_{nvars-1} / x_i."""
+    return tuple(int(v != i) for v in range(nvars))
 
 
 @pytest.mark.parametrize(
-    "gens, quotients",
+    "gens, order",
     [
-        # mixed degrees: x0*x1, x0^2, then the degree-3 monomials none of them divides
-        (corpus("vplusm(3,2,x0^2,x0*x1)").generators, [(2, 0), (2, 1), (3, 1), *[(3, 2)] * 4]),
-        # x_1...x_6 / x_i: each colon is generated by x_j alone, so beta = (1, 6, 5)
-        ([tuple(int(v != i) for v in range(6)) for i in range(6)], [(5, 0), *[(5, 1)] * 5]),
-        # the wide-lattice ideal: x_0*x_1, then x_i*y, set sizes 0, 1, 1, 2, ..., 18
-        (_wide_strand_ideal(19).generators, [(2, 0), (2, 1), *((2, i) for i in range(1, 19))]),
-        # (x0^2, x1^2): the colon x0^2 is no variable
-        (((2, 0), (0, 2)), None),
+        # mixed degrees: x0^2, x0*x1, then the degree-3 monomials none of them divides
+        (
+            corpus("vplusm(3,2,x0^2,x0*x1)").generators,
+            [
+                ((2, 0, 0), []),
+                ((1, 1, 0), [(2, 1, 0)]),
+                ((0, 3, 0), [(1, 3, 0)]),
+                ((0, 2, 1), [(1, 2, 1), (0, 3, 1)]),
+                ((1, 0, 2), [(2, 0, 2), (1, 1, 2)]),
+                ((0, 1, 2), [(1, 1, 2), (0, 2, 2)]),
+                ((0, 0, 3), [(1, 0, 3), (0, 1, 3)]),
+            ],
+        ),
+        # x_0...x_5 / x_i, lowest code first: each colon is generated by x_j alone, so beta = (1, 6, 5)
+        ([_but(6, i) for i in range(6)], [(_but(6, 5), []), *((_but(6, i), [(1,) * 6]) for i in range(4, -1, -1))]),
+        # the wide-lattice ideal, y = x_19: x_0*x_1, then x_i*y, set sizes 0, 1, 1, 2, ..., 18
+        (
+            _wide_strand_ideal(19).generators,
+            [
+                (_squarefree(20, 0, 1), []),
+                (_squarefree(20, 0, 19), [_squarefree(20, 0, 1, 19)]),
+                (_squarefree(20, 1, 19), [_squarefree(20, 0, 1, 19)]),
+                *((_squarefree(20, i, 19), [_squarefree(20, j, i, 19) for j in range(i)]) for i in range(2, 19)),
+            ],
+        ),
+        # (x0^2, x1^2): each exponent is its variable's only one, so x0^2 is one bit
+        (((2, 0), (0, 2)), [((2, 0), []), ((0, 2), [(2, 2)])]),
+        # (x^3, y^5): a complete intersection, its syzygy u * x_b 3 degrees above y^5
+        (((3, 0), (0, 5)), [((3, 0), []), ((0, 5), [(3, 5)])]),
+        # (x^5, x^3y^2, xy^4, y^7): a two-variable staircase, each colon the previous x step
+        (((5, 0), (3, 2), (1, 4), (0, 7)), [((5, 0), []), ((3, 2), [(5, 2)]), ((1, 4), [(3, 4)]), ((0, 7), [(1, 7)])]),
+        # (x^2, y^2, xyz^3): x^2 and y^2 are two bits each and xyz^3 is x, y and
+        # z, so in any order the second generator's colon has a two-bit w
+        (((2, 0, 0), (0, 2, 0), (1, 1, 3)), None),
         # a generator another divides, or repeats, has the colon (1)
         (((1, 0), (1, 1), (0, 2)), None),
         (((1, 0), (1, 0), (0, 1)), None),
     ],
-    ids=["mixed-degree", "facets", "wide-lattice", "squares", "redundant", "repeated"],
+    ids=[
+        "mixed-degree",
+        "facets",
+        "wide-lattice",
+        "squares",
+        "gapped-complete-intersection",
+        "gapped-staircase",
+        "gapped-miss",
+        "redundant",
+        "repeated",
+    ],
 )
-def test_linear_quotient_search(gens, quotients):
-    assert monomial._linear_quotients(list(gens)) == quotients
+def test_linear_quotient_search(gens, order):
+    # each u comes with u * x_b for b in set(u): the code of that step, less
+    # the code of u, is the bit b; the steps' exponents occur among the
+    # generators, so polarizing them with the generators moves no field
+    steps = [step for _, multiples in order or () for step in multiples]
+    vectors = [*gens, *steps]
+    codes = monomial._polarization(vectors)[0]
+    assert codes[: len(gens)] == monomial._polarization(list(gens))[0]
+    code = dict(zip(vectors, codes))
+    expected = order and [(code[u], reduce(or_, (code[s] & ~code[u] for s in multiples), 0)) for u, multiples in order]
+    assert monomial._linear_quotients(codes[: len(gens)]) == expected
 
 
 @pytest.mark.parametrize(

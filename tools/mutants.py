@@ -31,35 +31,42 @@ WALK_TESTS = [
 SWEEP_TESTS = [PURE_TESTS + "test_gradient_sweeps_report_the_rows_of_separate_loops"]
 
 MUTANTS = [
-    # |set(u)| off by one
+    # every delta_b taken as 1, right only where exponents have no gaps
     (
         "monomial.py",
-        "quotients.append((degree, variables.bit_count()))",
-        "quotients.append((degree, variables.bit_count() + 1))",
-        [
-            MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
-            MONOMIAL_TESTS + "test_linear_quotient_search[mixed-degree]",
-            MONOMIAL_TESTS + "test_wide_lattice_ideal_takes_the_closed_form",
-        ],
+        "steps[b] = total_degree(u | b) - degree",
+        "steps[b] = 1",
+        [MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals"],
     ),
-    # the closed form's shift i instead of i - 1
+    # u * x_F at level |F| instead of |F| + 1
     (
         "monomial.py",
-        "betti[i + 1, i + degree] = betti.get((i + 1, i + degree), 0)",
-        "betti[i + 1, i + 1 + degree] = betti.get((i + 1, i + 1 + degree), 0)",
+        "terms = {(1, degree): 1}",
+        "terms = {(0, degree): 1}",
         [
             MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
             MONOMIAL_TESTS + "test_wide_lattice_ideal_takes_the_closed_form",
         ],
     ),
-    # a colon test that takes a power x_k^2 of a variable for a variable
+    # a colon generator of two bits taken for a variable
     (
         "monomial.py",
-        "if w & (w - 1) or not w & units:",
-        "if w & (w - 1):",
+        "if w and not w & (w - 1):",
+        "if w:",
         [
             MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
-            MONOMIAL_TESTS + "test_linear_quotient_search[squares]",
+            MONOMIAL_TESTS + "test_linear_quotient_search[gapped-miss]",
+        ],
+    ),
+    # w = 0, from a code an earlier one divides or repeats, no longer refused
+    (
+        "monomial.py",
+        "if w and not w & (w - 1):",
+        "if not w & (w - 1):",
+        [
+            MONOMIAL_TESTS + "test_linear_quotient_search[redundant]",
+            MONOMIAL_TESTS + "test_linear_quotient_search[repeated]",
+            MONOMIAL_TESTS + "test_a_directly_built_ideal_with_a_redundant_or_repeated_generator[both]",
         ],
     ),
     # the K^m shift 1 -> 0
