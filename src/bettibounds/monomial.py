@@ -24,12 +24,14 @@ have an order of nondecreasing popcount in which each colon
 (u_1, ..., u_{j-1}) : u_j is generated by a set of bits, set(u_j), a minimal
 resolution has one basis element in multidegree u * x_F at level |F| + 1 for
 each u and F in set(u) (Herzog-Takayama, Resolutions by mapping cones, 2002).
-(4) A bit b is in set(u) only when v & ~u = b for an earlier v, so b is the
-next bit above u's run in its field: the bits of set(u) lie in distinct
-fields, and u * x_F has degree deg u + sum over b in F of
-delta_b = deg(u | b) - deg u.  So u adds s t^(deg u) prod over b in set(u) of
-(1 + s t^delta_b) to the Betti polynomial of S/I: C(|set(u)|, i-1) at
-(i, i-1+deg u) when every delta_b = 1.  Every ideal in two variables
+(4) The j-th bit b of a field weighs w_b, the field's j-th smallest exponent
+less its (j-1)-th, and guard bits weigh nothing, so a code's degree is the
+sum of its bits' weights.  A bit b is in set(u) only when v & ~u = b for an earlier v,
+so b is the next bit above u's run in its field: the bits of set(u) lie in
+distinct fields, and u * x_F has degree deg u + sum over b in F of w_b.  So
+u adds s t^(deg u) prod over w of (1 + s t^w)^n_w, n_w the number of bits of
+set(u) of weight w, to the Betti polynomial of S/I: C(|set(u)|, i-1) at
+(i, i-1+deg u) when every weight is 1.  Every ideal in two variables
 qualifies.  A miss of the greedy search, as for a generator that another
 divides or repeats, costs only speed.
 
@@ -296,13 +298,13 @@ def _linear_quotients(codes) -> list[tuple[int, int]] | None:
 
 
 def _polarization(gens):
-    """(codes, total_degree): the compressed polarization of one component's generators.
+    """(codes, weights): the compressed polarization of one component's generators.
 
-    total_degree(m) is the degree of the monomial whose code is m, read off
-    each field's popcount.
+    The j-th bit of a field weighs w, the field's j-th smallest exponent less
+    its (j-1)-th; `weights` pairs each w with the mask of the bits of weight w.
     """
     codes = [0] * len(gens)
-    fields = []  # (offset, field mask, [0, then the field's exponents in increasing order])
+    weights = {}  # step -> the bits that weigh it
     offset = 0
     for column in zip(*gens):
         values = sorted(set(column) - {0})
@@ -310,13 +312,24 @@ def _polarization(gens):
         runs[0] = 0
         for n, e in enumerate(column):
             codes[n] |= runs[e]
-        fields.append((offset, (1 << len(values)) - 1, [0, *values]))
+        for j, (low, e) in enumerate(zip([0, *values], values)):
+            weights[e - low] = weights.get(e - low, 0) | 1 << offset + j
         offset += len(values) + 1
+    return codes, list(weights.items())
 
-    def total_degree(m):
-        return sum(values[(m >> offset & mask).bit_count()] for offset, mask, values in fields)
 
-    return codes, total_degree
+def _degree(m, weights) -> int:
+    """Degree of the monomial whose code is m: the sum of the weights of its bits."""
+    return sum(w * (m & mask).bit_count() for w, mask in weights)
+
+
+def _times(p, q) -> dict[tuple[int, int], int]:
+    """Product of two Betti polynomials {(i, j): beta_{i,j}}, the sums of beta_{i,j} s^i t^j."""
+    product: dict[tuple[int, int], int] = {}
+    for (i, j), a in p.items():
+        for (k, d), b in q.items():
+            product[i + k, j + d] = product.get((i + k, j + d), 0) + a * b
+    return product
 
 
 def _component_betti(gens) -> dict[tuple[int, int], int]:
@@ -325,32 +338,19 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
     Closed form, in four steps: the codes are an LCM-lattice isomorphism, so
     their ideal has the same multigraded Betti numbers (Gasharov-Peeva-Welker
     1999); with linear quotients in popcount order, u * x_F, F in set(u), sits
-    at level |F| + 1 (Herzog-Takayama 2002); and its degree is deg u plus
-    each delta_b of F.  Otherwise each m of the LCM lattice, grown by join
-    closure on the codes, keeps the number and union of the generator subsets
-    with lcm m, and is settled from `m & ~(m >> 1)`.
+    at level |F| + 1 (Herzog-Takayama 2002); and its degree is deg u plus the
+    weight of each bit of F.  Otherwise each m of the LCM lattice, grown by
+    join closure on the codes, keeps the number and union of the generator
+    subsets with lcm m, and is settled from `m & ~(m >> 1)`.
     """
-    codes, total_degree = _polarization(gens)
+    codes, weights = _polarization(gens)
     if (quotients := _linear_quotients(codes)) is not None:
         betti = {(0, 0): 1}
-        steps = {}  # delta_b depends on b alone: the step between two exponents of its field
         for u, variables in quotients:
-            degree = total_degree(u)
-            counts = {}  # how many bits of set(u) have each delta_b
-            while variables:
-                b = variables & -variables
-                variables ^= b
-                if b not in steps:
-                    steps[b] = total_degree(u | b) - degree
-                counts[steps[b]] = counts.get(steps[b], 0) + 1
-            terms = {(1, degree): 1}  # u * x_F at level |F| + 1
-            for delta, n in counts.items():  # times (1 + s t^delta)^n
-                product = {}
-                for (i, j), c in terms.items():
-                    for k in range(n + 1):
-                        key = (i + k, j + k * delta)
-                        product[key] = product.get(key, 0) + c * math.comb(n, k)
-                terms = product
+            terms = {(1, _degree(u, weights)): 1}  # u * x_F at level |F| + 1
+            for w, mask in weights:  # times (1 + s t^w)^n
+                if n := (variables & mask).bit_count():
+                    terms = _times(terms, {(k, k * w): math.comb(n, k) for k in range(n + 1)})
             for key, c in terms.items():
                 betti[key] = betti.get(key, 0) + c
         return betti
@@ -365,7 +365,7 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
         if (settled := _settle(m & ~(m >> 1), count, union, codes)) is None:
             continue
         homology, shift = settled
-        degree = total_degree(m)
+        degree = _degree(m, weights)
         for level, dim in homology.items():
             if dim:
                 key = (level + shift, degree)
@@ -380,8 +380,9 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     an LCM-lattice isomorphism, so its code ideal has the same multigraded
     Betti numbers (Gasharov-Peeva-Welker 1999).  With linear quotients of the
     codes in popcount order it is settled in closed form (Herzog-Takayama
-    2002), u * x_F in degree deg u plus each delta_b of F; otherwise by the
-    walk over its LCM lattice.  At most MAX_GENERATORS generators either way.
+    2002), u * x_F in degree deg u plus the weight of each bit of F;
+    otherwise by the walk over its LCM lattice.  The components' Betti
+    polynomials multiply.  At most MAX_GENERATORS generators either way.
     """
     _check_generator_count(len(ideal.generators))
     if not all(any(g) for g in ideal.generators):
@@ -401,12 +402,7 @@ def taylor_betti(ideal: MonomialIdeal) -> BettiDiagram:
     betti = {(0, 0): 1}
     for variables, members in components:
         used = [k for k in range(variables.bit_length()) if variables >> k & 1]
-        factor = _component_betti([tuple(g[k] for k in used) for g in members])
-        product: dict[tuple[int, int], int] = {}
-        for (i, j), a in betti.items():
-            for (k, d), b in factor.items():
-                product[i + k, j + d] = product.get((i + k, j + d), 0) + a * b
-        betti = product
+        betti = _times(betti, _component_betti([tuple(g[k] for k in used) for g in members]))
     return BettiDiagram(betti)
 
 

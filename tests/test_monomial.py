@@ -277,7 +277,9 @@ GAPPED = (0, 1, 3, 7, 10**6)
 def test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree():
     # code(a) | code(b) is the code of lcm(a, b), g divides m exactly when
     # code(g) & ~code(m) == 0, m & ~(m >> 1) has one bit in the field of each
-    # variable of supp m, and the degree decode gives the total degree
+    # variable of supp m, and the weights give the total degree: their masks
+    # split the bits the codes can set, and the next bit b above a run that
+    # does not fill its field raises the degree by b's weight
     rng = random.Random(4242)
     for _ in range(400):
         nvars = rng.randint(1, 8)
@@ -286,8 +288,11 @@ def test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree(
         vectors = [a, b, gcd, lcm]
         # lcm_k at coordinate k alone: the code of that is the run of field k
         fields = [tuple(x if v == k else 0 for v, x in enumerate(lcm)) for k in range(nvars)]
-        codes, total_degree = monomial._polarization(vectors + fields)
+        codes, weights = monomial._polarization(vectors + fields)
         assert codes[0] | codes[1] == codes[3]
+        masks = [mask for _, mask in weights]
+        assert sum(masks) == reduce(or_, masks, 0) == reduce(or_, codes[4:], 0)
+        weight = {1 << k: w for w, mask in weights for k in range(mask.bit_length()) if mask >> k & 1}
         for g, code_g in zip(vectors, codes):
             for m, code_m in zip(vectors, codes):
                 assert (code_g & ~code_m == 0) == all(x <= y for x, y in zip(g, m)), (g, m)
@@ -295,7 +300,10 @@ def test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree(
             top = code & ~(code >> 1)
             assert [(top & run).bit_count() for run in codes[4:]] == [int(x > 0) for x in m]
             assert top.bit_count() == sum(1 for x in m if x)
-            assert total_degree(code) == sum(m)
+            assert monomial._degree(code, weights) == sum(m)
+            for run in codes[4:]:
+                if bit := (code & run) + (run & -run) & run:  # the next bit above the run, if any
+                    assert monomial._degree(code | bit, weights) - sum(m) == weight[bit]
 
 
 def _disjoint_union(rng, parts):

@@ -31,21 +31,41 @@ WALK_TESTS = [
 SWEEP_TESTS = [PURE_TESTS + "test_gradient_sweeps_report_the_rows_of_separate_loops"]
 
 MUTANTS = [
-    # every delta_b taken as 1, right only where exponents have no gaps
+    # every bit of set(u) taken as weight 1, right only where exponents have no gaps
     (
         "monomial.py",
-        "steps[b] = total_degree(u | b) - degree",
-        "steps[b] = 1",
+        "{(k, k * w): math.comb(n, k)",
+        "{(k, k): math.comb(n, k)",
         [MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals"],
     ),
     # u * x_F at level |F| instead of |F| + 1
     (
         "monomial.py",
-        "terms = {(1, degree): 1}",
-        "terms = {(0, degree): 1}",
+        "terms = {(1, _degree(u, weights)): 1}",
+        "terms = {(0, _degree(u, weights)): 1}",
         [
             MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
             MONOMIAL_TESTS + "test_wide_lattice_ideal_takes_the_closed_form",
+        ],
+    ),
+    # a degree read as the plain popcount of its code
+    (
+        "monomial.py",
+        "w * (m & mask).bit_count()",
+        "(m & mask).bit_count()",
+        [
+            MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
+            MONOMIAL_TESTS + "test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree",
+        ],
+    ),
+    # a bit weighted by its exponent, not by its step from the one below
+    (
+        "monomial.py",
+        "weights[e - low]",
+        "weights[e]",
+        [
+            MONOMIAL_TESTS + "test_the_closed_form_matches_both_oracles_on_seeded_ideals",
+            MONOMIAL_TESTS + "test_compressed_polarization_turns_lcm_into_or_and_keeps_support_and_degree",
         ],
     ),
     # a colon generator of two bits taken for a variable
