@@ -43,14 +43,25 @@ in order, so every facet, face order and boundary sign is kept.  The lattice
 is grown by join closure, r joins per element for r generators: each m keeps
 the number of generator subsets with lcm m (the cells of the m-strand of the
 Taylor complex tensored with the field, whose homology at position i is
-beta_{i,m}) and their union, which is D(m), the generators dividing m.  Each
-strand is settled from the facets Phi_g = {k : g_k < m_k}, g in D(m), of the
-upper Koszul complex K^m = {F subset of supp m : x^(m - F) in I};
-beta_{i,m} = dim reduced H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial
-Commutative Algebra, Thm 1.34):
+beta_{i,m}), their signed count, the sum of (-1)^|cell| over them, and their
+union, which is D(m), the generators dividing m.  Each strand is settled from
+the facets Phi_g = {k : g_k < m_k}, g in D(m), of the upper Koszul complex
+K^m = {F subset of supp m : x^(m - F) in I}; beta_{i,m} = dim reduced
+H_{i-2}(K^m) (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34):
 
 * a strand of one cell, D(m) itself, has no boundary and gives beta = 1 at
   its size;
+* a strand on at most three variables is settled from its signed count
+  alone.  (a) The m-strand of the Taylor complex computes beta_{i,m}, so its
+  signed count is sum (-1)^i beta_{i,m}.  (b) K^m lives on the vertices supp
+  m; on at most three, reduced H_1 is nonzero only when K^m holds all three
+  edges and not the triangle, and then K^m is connected, so at most one
+  reduced homology group is nonzero: H_{-1}, exactly when K^m is the empty
+  face alone, that is when every g in D(m) is m, giving beta_{1,m} =
+  -signed; else H_0, beta_{2,m} = signed, when positive; else H_1,
+  beta_{3,m} = -signed.  (c) Four variables are too many: for (x2 x3, x1 x3,
+  x0 x3, x0 x1 x2) K^m at m = x0 x1 x2 x3 is a hollow triangle beside a
+  point, with beta_{2,m} = beta_{3,m} = 1 and signed count 0;
 * a strand is skipped when some Phi_g is all of supp m: K^m is then the full
   simplex on supp m and has no reduced homology;
 * K^m is used when a bound on its faces, the smaller of 2^|supp m| and the
@@ -137,11 +148,15 @@ def _minimal_generators(nvars: int, generators: Iterable[Sequence[int]]) -> Iter
     if not vectors:
         raise FormatError("need at least one generator")
     # a strict divisor has a smaller degree, so it comes first in graded-lex
-    # order, and only the minimal generators yielded so far need to be tried
-    minimal = []
-    for g in sorted(vectors, key=lambda g: (sum(g), g)):
-        if not any(_divides(m, g) for m in minimal):
-            minimal.append(g)
+    # order, and only the minimal generators of smaller degree need to be
+    # tried: two distinct vectors of one degree never divide each other
+    lower, same, degree = [], [], None
+    for d, g in sorted((sum(g), g) for g in vectors):
+        if d != degree:
+            lower += same
+            same, degree = [], d
+        if not any(_divides(m, g) for m in lower):
+            same.append(g)
             yield g
 
 
@@ -221,19 +236,31 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-def _settle(top, count, union, codes):
+def _settle(top, count, union, signed, codes):
     """(homology {level: count}, shift) of the m-strand, or None if it is acyclic.
 
     The strand's cells are the `count` subsets of the generators with lcm m,
-    and `union`, the bitmask of their union, is D(m): every generator dividing
-    m.  `codes` are the generators' compressed polarizations and `top` holds
-    one bit per variable of supp m, the top bit of its field in the code of m.
-    A generator g dividing m holds that bit exactly when g_k = m_k, so its
-    facet Phi_g = {k : g_k < m_k} of K^m is `top & ~g`.
+    `signed` is the sum of (-1)^|cell| over them, and `union`, the bitmask of
+    their union, is D(m): every generator dividing m.  `codes` are the
+    generators' compressed polarizations and `top` holds one bit per variable
+    of supp m, the top bit of its field in the code of m.  A generator g
+    dividing m holds that bit exactly when g_k = m_k, so its facet
+    Phi_g = {k : g_k < m_k} of K^m is `top & ~g`.
+
+    On at most three variables K^m has at most one nonzero reduced homology
+    group, so `signed`, which is sum (-1)^i beta_{i,m}, gives it: beta_{1,m}
+    = -signed when K^m is the empty face alone (every g in D(m) is m), else
+    beta_{2,m} = signed when positive and beta_{3,m} = -signed when negative.
     """
     if count == 1:
         return {union.bit_count(): 1}, 0  # a lone cell, D(m) itself, has no boundary
     facets = [top & ~g for bit, g in enumerate(codes) if union >> bit & 1]
+    if top.bit_count() <= 3:
+        if not any(facets):
+            return {1: -signed}, 0  # K^m = {empty face}
+        if not signed:
+            return None
+        return ({2: signed} if signed > 0 else {3: -signed}), 0
     if top in facets:
         return None  # a strict divisor: K^m is the full simplex on supp m
     faces = min(1 << top.bit_count(), sum(1 << facet.bit_count() for facet in facets))
@@ -341,7 +368,8 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
     at level |F| + 1 (Herzog-Takayama 2002); and its degree is deg u plus the
     weight of each bit of F.  Otherwise each m of the LCM lattice, grown by
     join closure on the codes, keeps the number and union of the generator
-    subsets with lcm m, and is settled from `m & ~(m >> 1)`.
+    subsets with lcm m and the sum of (-1)^|subset| over them, and is settled
+    from `m & ~(m >> 1)`.
     """
     codes, weights = _polarization(gens)
     if (quotients := _linear_quotients(codes)) is not None:
@@ -354,15 +382,15 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
             for key, c in terms.items():
                 betti[key] = betti.get(key, 0) + c
         return betti
-    lattice = {0: (1, 0)}
+    lattice = {0: (1, 0, 1)}  # m: (cells, D(m), sum of (-1)^|cell|); the empty set at 0
     for bit, g in enumerate(codes):
-        for m, (count, union) in list(lattice.items()):
+        for m, (count, union, signed) in list(lattice.items()):
             join = m | g
-            old_count, old_union = lattice.get(join, (0, 0))
-            lattice[join] = (old_count + count, old_union | union | 1 << bit)
+            old_count, old_union, old_signed = lattice.get(join, (0, 0, 0))
+            lattice[join] = (old_count + count, old_union | union | 1 << bit, old_signed - signed)
     betti: dict[tuple[int, int], int] = {}
-    for m, (count, union) in lattice.items():
-        if (settled := _settle(m & ~(m >> 1), count, union, codes)) is None:
+    for m, (count, union, signed) in lattice.items():
+        if (settled := _settle(m & ~(m >> 1), count, union, signed, codes)) is None:
             continue
         homology, shift = settled
         degree = _degree(m, weights)

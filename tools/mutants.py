@@ -5,10 +5,13 @@
 Run from anywhere; paths are taken from this file's checkout.  A mutant is
 (file under src/bettibounds, old snippet, new snippet, test node ids).  Every
 old snippet must occur exactly once in its file, or nothing runs and the exit
-code is 2.  For each mutant, src/ is copied to a temporary directory, the one
-replacement is made there, and pytest runs the named tests against the copy.
-The mutant is killed when every named test fails.  The exit code is 1 if any
-mutant survives, else 0.  Standard library only, besides pytest itself.
+code is 2.  Before any mutant, every named test runs once on an unmutated copy
+of src/; if one of them fails or does not run there, a kill would not show
+that the mutant broke it, so nothing more runs and the exit code is 2.  For
+each mutant, src/ is copied to a temporary directory, the one replacement is
+made there, and pytest runs the named tests against the copy.  The mutant is
+killed when every named test fails.  The exit code is 1 if any mutant
+survives, else 0.  Standard library only, besides pytest itself.
 """
 
 from __future__ import annotations
@@ -106,9 +109,43 @@ MUTANTS = [
     # the new generator's bit left out of the union D(m)
     (
         "monomial.py",
-        "lattice[join] = (old_count + count, old_union | union | 1 << bit)",
-        "lattice[join] = (old_count + count, old_union | union)",
+        "lattice[join] = (old_count + count, old_union | union | 1 << bit, old_signed - signed)",
+        "lattice[join] = (old_count + count, old_union | union, old_signed - signed)",
         WALK_TESTS,
+    ),
+    # a join's cells counted with the sign of the subsets they grow from
+    (
+        "monomial.py",
+        "old_signed - signed)",
+        "old_signed + signed)",
+        WALK_TESTS,
+    ),
+    # the signed count taken on four variables, where K^m can have two
+    # nonzero homology groups whose dimensions cancel
+    (
+        "monomial.py",
+        "if top.bit_count() <= 3:",
+        "if top.bit_count() <= 4:",
+        [MONOMIAL_TESTS + "test_a_four_variable_strand_can_have_two_homology_groups"],
+    ),
+    # a positive signed count read at level 3 and a negative one at level 2
+    (
+        "monomial.py",
+        "({2: signed} if signed > 0 else {3: -signed})",
+        "({3: signed} if signed > 0 else {2: -signed})",
+        WALK_TESTS,
+    ),
+    # K^m = {empty face} not told apart: a strand of repeated generators read
+    # at level 3
+    (
+        "monomial.py",
+        "if not any(facets):",
+        "if False:",
+        [
+            MONOMIAL_TESTS + "test_a_directly_built_ideal_with_a_redundant_or_repeated_generator[repeated]",
+            MONOMIAL_TESTS + "test_a_directly_built_ideal_with_a_redundant_or_repeated_generator[both]",
+            MONOMIAL_TESTS + "test_a_directly_built_ideal_with_a_redundant_or_repeated_generator[mixed-degree]",
+        ],
     ),
     # the components' Betti polynomials summed, not multiplied
     (
@@ -132,8 +169,8 @@ MUTANTS = [
     # face bound 2^|top| grows: more rank calls, and (2,19) takes minutes
     (
         "monomial.py",
-        "_settle(m & ~(m >> 1), count, union, codes)",
-        "_settle(m, count, union, codes)",
+        "_settle(m & ~(m >> 1), count, union, signed, codes)",
+        "_settle(m, count, union, signed, codes)",
         [
             MONOMIAL_TESTS + "test_rank_calls_on_the_corpus_families",
             MONOMIAL_TESTS + "test_koszul_cube_below_the_facet_sum_still_picks_k_m",
@@ -194,13 +231,18 @@ def check_snippets() -> list[str]:
     return problems
 
 
-def survivors(name: str, old: str, new: str, tests: list[str]) -> list[str]:
-    """The named tests that do not fail with the mutant applied."""
+def failing(tests: list[str], edit: tuple[str, str, str] | None = None) -> set[str] | None:
+    """The named tests that fail on a copy of src/, with the (file, old, new) edit made.
+
+    None when not every named test ran.
+    """
     with tempfile.TemporaryDirectory() as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src)
-        path = src / "bettibounds" / name
-        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        if edit is not None:
+            name, old, new = edit
+            path = src / "bettibounds" / name
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         report = Path(scratch) / "report.xml"
         command = [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -215,8 +257,8 @@ def survivors(name: str, old: str, new: str, tests: list[str]) -> list[str]:
                 if case.find("failure") is not None or case.find("error") is not None:
                     failed.add(case.get("name"))
     if ran != len(tests):
-        return [f"{len(tests)} tests named, {ran} ran"]
-    return [test for test in tests if test.split("::")[-1] not in failed]
+        return None
+    return {test for test in tests if test.split("::")[-1] in failed}
 
 
 def main() -> int:
@@ -224,9 +266,22 @@ def main() -> int:
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 2
+    # a test that fails with no mutant would count as a kill
+    named = list(dict.fromkeys(test for *_, tests in MUTANTS for test in tests))
+    baseline = failing(named)
+    if baseline is None:
+        print(f"unmutated copy: {len(named)} tests named, not all ran", file=sys.stderr)
+        return 2
+    if baseline:
+        print("failing on the unmutated copy:", *sorted(baseline), sep="\n    ", file=sys.stderr)
+        return 2
     survived = 0
     for name, old, new, tests in MUTANTS:
-        alive = survivors(name, old, new, tests)
+        failed = failing(tests, (name, old, new))
+        if failed is None:
+            alive = [f"{len(tests)} tests named, not all ran"]
+        else:
+            alive = [test for test in tests if test not in failed]
         survived += bool(alive)
         print(f"{'SURVIVED' if alive else 'killed'}: {name}: {old!r} -> {new!r}")
         for test in alive:
