@@ -189,7 +189,7 @@ def _rational_rank(rows) -> int:
 
 
 def _homology(cells) -> dict[int, int]:
-    """Homology dimensions {level: dim} of a chain complex on bitmask cells.
+    """Nonzero homology dimensions {level: dim} of a chain complex on bitmask cells.
 
     A cell's level is its popcount.  Its boundary drops one set bit at a time,
     lowest first, with alternating sign, and keeps the result only if it is a
@@ -218,8 +218,9 @@ def _homology(cells) -> dict[int, int]:
         # rank of the transpose equals the rank of the map
         ranks[level] = _rational_rank(rows)
     return {
-        level: len(masks) - ranks.get(level, 0) - ranks.get(level + 1, 0)
+        level: dim
         for level, masks in levels.items()
+        if (dim := len(masks) - ranks.get(level, 0) - ranks.get(level + 1, 0))
     }
 
 
@@ -236,43 +237,39 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-def _settle(top, count, union, signed, codes):
-    """(homology {level: count}, shift) of the m-strand, or None if it is acyclic.
+def _settle(m, count, union, signed, codes) -> dict[int, int]:
+    """{i: beta_{i,m}} for each nonzero Betti number of the quotient at the lcm m.
 
-    The strand's cells are the `count` subsets of the generators with lcm m,
-    `signed` is the sum of (-1)^|cell| over them, and `union`, the bitmask of
-    their union, is D(m): every generator dividing m.  `codes` are the
-    generators' compressed polarizations and `top` holds one bit per variable
-    of supp m, the top bit of its field in the code of m.  A generator g
-    dividing m holds that bit exactly when g_k = m_k, so its facet
-    Phi_g = {k : g_k < m_k} of K^m is `top & ~g`.
-
-    On at most three variables K^m has at most one nonzero reduced homology
-    group, so `signed`, which is sum (-1)^i beta_{i,m}, gives it: beta_{1,m}
-    = -signed when K^m is the empty face alone (every g in D(m) is m), else
-    beta_{2,m} = signed when positive and beta_{3,m} = -signed when negative.
+    `m` is the code of the lcm.  The m-strand's cells are the `count` subsets
+    of the generators with lcm m, `signed` is the sum of (-1)^|cell| over
+    them, and `union`, the bitmask of their union, is D(m): bit j is set when
+    `codes[j]` divides m.  An acyclic strand gives {}.  The rules are the
+    module docstring's, tried in its order, and homology of K^m is returned
+    at its Betti level.
     """
     if count == 1:
-        return {union.bit_count(): 1}, 0  # a lone cell, D(m) itself, has no boundary
+        return {union.bit_count(): 1}  # a lone cell, D(m) itself, has no boundary
+    top = m & ~(m >> 1)
     facets = [top & ~g for bit, g in enumerate(codes) if union >> bit & 1]
     if top.bit_count() <= 3:
         if not any(facets):
-            return {1: -signed}, 0  # K^m = {empty face}
+            return {1: -signed}  # K^m = {empty face}
         if not signed:
-            return None
-        return ({2: signed} if signed > 0 else {3: -signed}), 0
+            return {}
+        return {2: signed} if signed > 0 else {3: -signed}
     if top in facets:
-        return None  # a strict divisor: K^m is the full simplex on supp m
+        return {}  # a strict divisor: K^m is the full simplex on supp m
     faces = min(1 << top.bit_count(), sum(1 << facet.bit_count() for facet in facets))
     if faces < count:
         # beta_{i,m} = dim reduced H_{i-2}(K^m): a face of size k sits at i = k + 1
-        return _homology(_upper_koszul_faces(facets)), 1
-    return _homology(_taylor_cells(top, union, facets)), 0
+        return {level + 1: dim for level, dim in _homology(_upper_koszul_faces(facets)).items()}
+    return _homology(_taylor_cells(top, facets))
 
 
-def _taylor_cells(support, union, facets) -> list[int]:
+def _taylor_cells(support, facets) -> list[int]:
     """The cells of the Taylor strand at m: the subsets of D(m) with lcm m.
 
+    Bit j of a cell is the j-th generator of D(m), whose facet is facets[j].
     A subset has lcm m when the sets E_g = supp m - Phi_g = {k : g_k = m_k} of
     its members cover supp m.  A generator whose E_g holds some k that no other
     E_g holds is in every cell, so only the others are enumerated.
@@ -284,11 +281,8 @@ def _taylor_cells(support, union, facets) -> list[int]:
         once |= e
     alone = once & ~twice
     cells = [(0, 0)]  # (cell, the union of its E_g)
-    rest = union
-    for e in reached:
-        low = rest & -rest
-        rest ^= low
-        grown = [(cell | low, cover | e) for cell, cover in cells]
+    for position, e in enumerate(reached):
+        grown = [(cell | 1 << position, cover | e) for cell, cover in cells]
         cells = grown if e & alone else cells + grown
     return [cell for cell, cover in cells if cover == support]
 
@@ -362,14 +356,11 @@ def _times(p, q) -> dict[tuple[int, int], int]:
 def _component_betti(gens) -> dict[tuple[int, int], int]:
     """{(level, degree): count} of the quotient by the generators of one component.
 
-    Closed form, in four steps: the codes are an LCM-lattice isomorphism, so
-    their ideal has the same multigraded Betti numbers (Gasharov-Peeva-Welker
-    1999); with linear quotients in popcount order, u * x_F, F in set(u), sits
-    at level |F| + 1 (Herzog-Takayama 2002); and its degree is deg u plus the
-    weight of each bit of F.  Otherwise each m of the LCM lattice, grown by
-    join closure on the codes, keeps the number and union of the generator
-    subsets with lcm m and the sum of (-1)^|subset| over them, and is settled
-    from `m & ~(m >> 1)`.
+    The closed form when the codes have linear quotients; otherwise each m of
+    the LCM lattice, grown by join closure on the codes, keeps the number and
+    union of the generator subsets with lcm m and the sum of (-1)^|subset|
+    over them, and `_settle` gives its Betti numbers.  Both as in the module
+    docstring.
     """
     codes, weights = _polarization(gens)
     if (quotients := _linear_quotients(codes)) is not None:
@@ -390,14 +381,9 @@ def _component_betti(gens) -> dict[tuple[int, int], int]:
             lattice[join] = (old_count + count, old_union | union | 1 << bit, old_signed - signed)
     betti: dict[tuple[int, int], int] = {}
     for m, (count, union, signed) in lattice.items():
-        if (settled := _settle(m & ~(m >> 1), count, union, signed, codes)) is None:
-            continue
-        homology, shift = settled
-        degree = _degree(m, weights)
-        for level, dim in homology.items():
-            if dim:
-                key = (level + shift, degree)
-                betti[key] = betti.get(key, 0) + dim
+        for level, dim in _settle(m, count, union, signed, codes).items():
+            key = (level, _degree(m, weights))
+            betti[key] = betti.get(key, 0) + dim
     return betti
 
 

@@ -51,10 +51,17 @@ def test_minimalize_examples():
 
 
 def test_ideal_file_is_refused_at_the_first_generator_beyond_the_guard():
-    # 6,001 minimal generators, refused long before all pairs are compared: in
-    # about 0.2 s, where comparing them all takes over 30 s
+    # 6,001 minimal generators of one degree: no two of them are compared, so
+    # reading them all is as fast as stopping at the first beyond the guard
     text = json.dumps({"nvars": 2, "generators": [[a, 6000 - a] for a in range(6001)]})
     with time_limit(5), pytest.raises(TooManyGeneratorsError) as excinfo:
+        MonomialIdeal.from_json(text)
+    assert str(excinfo.value) == "more than 20 generators exceeds the guard of 20"
+    # 6,001 minimal generators of distinct degrees, each compared with every
+    # one below it: refused in milliseconds, where reading them all takes
+    # about 6 s
+    text = json.dumps({"nvars": 2, "generators": [[2 * a, 6000 - a] for a in range(6001)]})
+    with time_limit(1), pytest.raises(TooManyGeneratorsError) as excinfo:
         MonomialIdeal.from_json(text)
     assert str(excinfo.value) == "more than 20 generators exceeds the guard of 20"
     # 8,000 entries with 3 minimal generators are within it
@@ -395,11 +402,11 @@ def test_generators_alone_in_reaching_m_are_in_every_taylor_cell():
     # traced allocation peak tells the two apart, where wall time would not.
     gens = _wide_strand_ideal(12).generators
     m = tuple(map(max, *gens))
-    support, union = (1 << len(m)) - 1, (1 << len(gens)) - 1
+    support = (1 << len(m)) - 1
     facets = [sum(1 << k for k, (a, b) in enumerate(zip(g, m)) if a < b) for g in gens]
     tracemalloc.start()
     try:
-        cells = monomial._taylor_cells(support, union, facets)
+        cells = monomial._taylor_cells(support, facets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,6 +512,33 @@ def test_the_closed_form_matches_both_oracles_on_seeded_ideals(monkeypatch):
             closed += 1
             assert diagram == upper_koszul_betti(ideal) == taylor_oracle_betti(ideal), ideal
     assert closed == 763
+
+
+def test_the_closed_form_matches_the_walk_beyond_the_oracles_reach(monkeypatch):
+    # both oracles stop near 10 generators, so at 12 to 20 the walk is the
+    # check: each equigenerated ideal's diagram is taken once as is and once
+    # walk-only.  The ideals that took the closed form have a floor, so a
+    # search that always misses fails here
+    found = []
+    search = monomial._linear_quotients
+
+    def recorded(codes):
+        found.append(search(codes))
+        return found[-1]
+
+    rng = random.Random(47)
+    ideals = [random_equigenerated_ideal(rng, max_gens=20) for _ in range(240)]
+    ideals = [ideal for ideal in ideals if len(ideal.generators) >= 12]
+    closed = 0
+    for ideal in ideals:
+        found.clear()
+        monkeypatch.setattr(monomial, "_linear_quotients", recorded)
+        diagram = taylor_betti(ideal)
+        closed += None not in found
+        monkeypatch.setattr(monomial, "_linear_quotients", lambda codes: None)
+        assert taylor_betti(ideal) == diagram, ideal
+    assert len(ideals) == 122
+    assert closed >= 62
 
 
 def _squarefree(nvars, *support):
